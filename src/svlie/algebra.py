@@ -29,6 +29,7 @@ __all__ = [
     "L",
     "M",
     "Y",
+    "action_kernel",
     "bracket",
     "bracket_basis",
     "center_in_window",
@@ -445,26 +446,57 @@ def check_jacobi(p: AlgebraParams, w: Window, bracket_fn=None) -> JacobiReport:
     return JacobiReport(p, w, checked, failures)
 
 
-def center_in_window(p: AlgebraParams, w: Window) -> list[Element]:
-    """Basis of the window-supported vectors killed by every in-window
-    generator.  Products are evaluated exactly wherever they land, so no
-    spurious boundary survivors appear."""
+def action_kernel(
+    p: AlgebraParams, w: Window, arity: int, symmetric: bool = False
+) -> list[dict]:
+    """Kernel of the diagonal adjoint action on window-supported tensors of
+    total doubled degree 0, as one {key: coefficient} dict per free column.
+
+    Keys are basis indices for arity 1 and ordered index pairs for arity 2.
+    Every in-window generator acts, and products are compared to zero
+    wherever they land.  With symmetric set, only the symmetric part of
+    each product must vanish (the pair keys of a product are folded onto
+    their sorted form).
+
+    Only the degree-0 slice is built, which is exact: L[0] is in every
+    window and acts on a key of total degree d as multiplication by d, so
+    on a slice with d != 0 the invariant kernel is zero and the
+    symmetric-part kernel is exactly the skew tensors.  A generator of
+    degree e maps slice d into slice d + e, so rows never mix slices and
+    the slice-0 echelon form and kernel vectors equal those of the system
+    over every window tensor.
+    """
     from . import linalg
 
-    indices = w.basis_indices(p)
-    pos = {idx: i for i, idx in enumerate(indices)}
-    ech = linalg.RowEchelon()
-    # Row space of the adjoint-action constraints; kernel = window center.
-    gens = indices
-    rows: dict[tuple[BasisIndex, BasisIndex], dict[int, Fraction]] = {}
+    gens = w.basis_indices(p)
+    if arity == 1:
+        keys = [(a,) for a in w.indices_at(0, p)]
+    elif arity == 2:
+        keys = [(a, b) for a in gens for b in w.indices_at(-a.dd, p)]
+    else:
+        raise ValueError("arity must be 1 or 2")
+    rows: dict[tuple, dict[int, Fraction]] = {}
     for g in gens:
-        for v in indices:
-            for idx, coeff in bracket_basis(g, v, p):
-                cell = rows.setdefault((g, idx), {})
-                cell[pos[v]] = cell.get(pos[v], Fraction(0)) + coeff
-    for key in sorted(rows):
-        ech.insert(linalg.int_row(rows[key]))
-    basis = []
-    for vec in ech.kernel_basis(len(indices)):
-        basis.append(Element({indices[i]: c for i, c in vec.items()}))
-    return basis
+        for col, key in enumerate(keys):
+            for slot, x in enumerate(key):
+                for e, coeff in bracket_basis(g, x, p):
+                    res = key[:slot] + (e,) + key[slot + 1:]
+                    if symmetric:
+                        res = min(res, res[::-1])
+                    cell = rows.setdefault((g, res), {})
+                    cell[col] = cell.get(col, 0) + coeff
+    ech = linalg.RowEchelon()
+    for rkey in sorted(rows):
+        ech.insert(linalg.int_row(rows[rkey]))
+    labels = [k[0] for k in keys] if arity == 1 else keys
+    return [
+        {labels[i]: c for i, c in vec.items()}
+        for vec in ech.kernel_basis(len(keys))
+    ]
+
+
+def center_in_window(p: AlgebraParams, w: Window) -> list[Element]:
+    """Basis of the window-supported vectors killed by every in-window
+    generator: the arity-1 action kernel.  The center lies in degree 0,
+    because L[0] acts on a generator of degree d as multiplication by d."""
+    return [Element(vec) for vec in action_kernel(p, w, 1)]

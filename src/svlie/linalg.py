@@ -144,18 +144,6 @@ class RowEchelon:
             basis.append(vec)
         return basis
 
-    def residual_is_zero(self, vec: dict[int, Fraction], rows: Iterable[dict[int, int]]) -> bool:
-        """Exact check that every given row annihilates the vector."""
-        for row in rows:
-            s = Fraction(0)
-            for col, coeff in row.items():
-                xv = vec.get(col)
-                if xv is not None:
-                    s += coeff * xv
-            if s:
-                return False
-        return True
-
 
 def rank_of(rows: Iterable[dict]) -> int:
     ech = RowEchelon()

@@ -1,0 +1,185 @@
+"""The degree-0 action kernels against the full ordered-pair systems.
+
+The reference keeps the construction the graded kernel replaces: one
+unknown per window generator (center) or per ordered pair of window
+generators (invariants, skew image), rows from every in-window generator
+acting through `bracket` and `tensors.diag_action`, and one `RowEchelon`
+over every slice.  The reports built on either kernel must agree exactly.
+"""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from svlie.algebra import (
+    AlgebraParams,
+    Element,
+    Window,
+    action_kernel,
+    bracket,
+    center_in_window,
+)
+from svlie.cohomology import (
+    CheckReport,
+    _interior_vec,
+    _span_rank,
+    verify_invariants_are_central,
+    verify_skew_image_lemma,
+)
+from svlie.linalg import RowEchelon, int_row
+from svlie.tensors import Tensor2, diag_action, tensor_of, twist
+
+HALF = Fraction(1, 2)
+
+ROWS = [
+    (HALF, Fraction(0)),
+    (HALF, Fraction(-1)),
+    (HALF, Fraction(-2)),
+    (HALF, Fraction(3)),
+    (Fraction(0), Fraction(0)),
+    (Fraction(0), Fraction(-1)),
+    (Fraction(0), Fraction(-2)),
+    (Fraction(0), Fraction(1)),
+    (Fraction(0), Fraction(5)),
+    (Fraction(0), Fraction(-3)),
+    (Fraction(0), Fraction(-5, 3)),
+]
+
+WINDOWS = [Window.symmetric(b) for b in range(2, 7)] + [Window(-2, 5)]
+
+
+def kernel_of(rows, keys):
+    ech = RowEchelon()
+    for rkey in sorted(rows):
+        ech.insert(int_row(rows[rkey]))
+    return [{keys[i]: c for i, c in vec.items()} for vec in ech.kernel_basis(len(keys))]
+
+
+def add_row_entry(rows, rkey, col, coeff):
+    cell = rows.setdefault(rkey, {})
+    cell[col] = cell.get(col, 0) + coeff
+
+
+def full_center(p, w):
+    """Kernel of the adjoint action over every window generator."""
+    gens = w.basis_indices(p)
+    rows = {}
+    for g in gens:
+        for col, v in enumerate(gens):
+            for res, coeff in bracket(Element.basis(g), Element.basis(v), p).items():
+                add_row_entry(rows, (g, res), col, coeff)
+    return [Element(v) for v in kernel_of(rows, gens)]
+
+
+def full_pair_kernels(p, w):
+    """Invariant and symmetric-part kernels over every ordered pair of
+    window generators, all degree slices in one system each."""
+    gens = w.basis_indices(p)
+    keys = [(a, b) for a in gens for b in gens]
+    plain, folded = {}, {}
+    for g in gens:
+        x = Element.basis(g)
+        for col, key in enumerate(keys):
+            for res, coeff in diag_action(x, Tensor2.basis(*key), p).items():
+                add_row_entry(plain, (g, res), col, coeff)
+                add_row_entry(folded, (g, min(res, res[::-1])), col, coeff)
+    return kernel_of(plain, keys), kernel_of(folded, keys)
+
+
+def reference_invariants(p, n, w, center, pair_kernel):
+    kernel = center if n == 1 else [Tensor2(v) for v in pair_kernel]
+    if n == 1:
+        products = center
+    else:
+        products = [tensor_of(z1, z2) for z1 in center for z2 in center]
+    inner = w.interior()
+    kernel_rank = _span_rank(_interior_vec(v, inner) for v in kernel)
+    product_rank = _span_rank(_interior_vec(v, inner) for v in products)
+    joint_rank = _span_rank(
+        [_interior_vec(v, inner) for v in kernel]
+        + [_interior_vec(v, inner) for v in products]
+    )
+    return CheckReport(
+        "invariants-are-central",
+        p,
+        w,
+        kernel_rank == product_rank == joint_rank,
+        {
+            "order": n,
+            "kernel_dim": kernel_rank,
+            "center_product_dim": product_rank,
+            "kernel_basis": [str(v) for v in kernel],
+        },
+    )
+
+
+def reference_skew(p, w, center, sym_kernel):
+    basis = [Tensor2(v) for v in sym_kernel]
+    products = [tensor_of(z1, z2) for z1 in center for z2 in center]
+    inner = w.interior()
+    product_vecs = [_interior_vec(v, inner) for v in products]
+    product_rank = _span_rank(product_vecs)
+    failures = []
+    for v in basis:
+        v_int = Tensor2(_interior_vec(v, inner))
+        sym = v_int + twist(v_int)
+        if sym and _span_rank(product_vecs + [dict(sym.terms)]) != product_rank:
+            failures.append(str(v))
+    return CheckReport(
+        "skew-image",
+        p,
+        w,
+        not failures,
+        {"space_dim": len(basis), "failures": failures},
+    )
+
+
+@pytest.mark.parametrize("central", [True, False], ids=["central", "centerless"])
+@pytest.mark.parametrize("s,lam", ROWS, ids=[f"{s},{lam}" for s, lam in ROWS])
+def test_reports_match_full_pair_reference(s, lam, central):
+    p = AlgebraParams(s, lam, central)
+    for w in WINDOWS:
+        center = full_center(p, w)
+        pair_kernel, sym_kernel = full_pair_kernels(p, w)
+
+        assert center_in_window(p, w) == center
+        for n in (1, 2):
+            got = verify_invariants_are_central(p, n, w).as_dict()
+            assert got == reference_invariants(p, n, w, center, pair_kernel).as_dict()
+        got = verify_skew_image_lemma(p, w).as_dict()
+        assert got == reference_skew(p, w, center, sym_kernel).as_dict()
+        # the graded kernel is exactly the degree-0 part of the full one
+        degree_zero = [
+            v for v in sym_kernel if all(a.dd + b.dd == 0 for a, b in v)
+        ]
+        assert action_kernel(p, w, 2, symmetric=True) == degree_zero
+
+
+def test_arity_is_checked():
+    with pytest.raises(ValueError):
+        action_kernel(AlgebraParams(0, 0), Window.symmetric(2), 3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["skew-lemma", "--s", "1/2", "--lambda", "-2"],
+        ["invariants", "--s", "0", "--lambda", "0", "--order", "2"],
+        ["center", "--s", "0", "--lambda", "0"],
+    ],
+    ids=["skew-lemma", "invariants", "center"],
+)
+def test_window_cap_finishes_in_bounded_time(argv):
+    # the largest window the CLI accepts; 60 s is the budget for any
+    # accepted input
+    proc = subprocess.run(
+        [sys.executable, "-m", "svlie.cli", *argv, "--window", "64", "--json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == argv[0]
