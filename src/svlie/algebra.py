@@ -7,15 +7,17 @@ generators Y_{s+n} and (optionally) c.  All degrees are stored doubled, so
 the integer grading (s = 0) and the half-integer grading (s = 1/2) share
 one integer representation.
 
-Every coefficient is an exact ``fractions.Fraction``; all values here are
-immutable after construction and every operation is a pure function.
+Every coefficient is an exact ``fractions.Fraction`` (bracket_int returns
+ints over the common denominator p.scale); all values here are immutable
+after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterator, NamedTuple, Optional, Union
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "action_kernel",
     "bracket",
     "bracket_basis",
+    "bracket_int",
     "center_in_window",
     "check_jacobi",
     "degree_of",
@@ -122,22 +125,28 @@ def check_index(idx: BasisIndex, s2: Optional[int] = None) -> None:
 @dataclass(frozen=True)
 class AlgebraParams:
     """Selects one algebra of the family: the pair (s, lam) plus the
-    central switch (when False, c is set to zero and dropped everywhere)."""
+    central switch (when False, c is set to zero and dropped everywhere).
+    s2 = 2s (the Y parity class), scale (see bracket_int) and the hash are
+    derived once."""
 
     s: Fraction
     lam: Fraction
     central: bool = True
+    s2: int = field(init=False, compare=False, repr=False)
+    scale: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", rat(self.s))
         object.__setattr__(self, "lam", rat(self.lam))
         if self.s not in (Fraction(0), HALF):
             raise ValueError(f"s must be 0 or 1/2, got {self.s}")
+        object.__setattr__(self, "s2", int(self.s * 2))
+        object.__setattr__(self, "scale", lcm(12, 2 * self.lam.denominator))
+        object.__setattr__(self, "_hash", hash((self.s, self.lam, self.central)))
 
-    @property
-    def s2(self) -> int:
-        """2s as an int; the Y parity class of doubled degrees."""
-        return int(self.s * 2)
+    def __hash__(self) -> int:
+        return self._hash
 
     def describe(self) -> str:
         c = "central" if self.central else "centerless"
@@ -254,11 +263,10 @@ def format_terms(items, tensor: bool) -> str:
 # The bracket
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def bracket_basis(
+def bracket_int(
     a: BasisIndex, b: BasisIndex, p: AlgebraParams
-) -> tuple[tuple[BasisIndex, Fraction], ...]:
-    """Bracket of two basis generators as a tuple of (index, coefficient).
+) -> tuple[tuple[BasisIndex, int], ...]:
+    """Bracket of two basis generators, every coefficient times p.scale.
 
     The table is total: generator pairs without a listed product return
     the empty tuple rather than raising.  Only the stated products are
@@ -270,7 +278,9 @@ def bracket_basis(
         [Y_q, Y_r]     = (r - q) M_{q+r}   (index sum lands on an M degree)
 
     plus the antisymmetric flips; anything involving c is zero.  When
-    central is off the c coefficient is dropped.
+    central is off the c coefficient is dropped.  p.scale = lcm(12,
+    2 den(lam)) clears the denominators 12, den(lam) and 2 den(lam) of
+    these constants, so every returned coefficient is an int.
     """
     check_index(a, p.s2)
     check_index(b, p.s2)
@@ -280,31 +290,42 @@ def bracket_basis(
     if (a.kind, b.kind) in (("M", "L"), ("Y", "L")):
         a, b, sign = b, a, -1
     ka, kb = a.kind, b.kind
-    out: list[tuple[BasisIndex, Fraction]] = []
+    D = p.scale
+    num, den = p.lam.numerator, p.lam.denominator
+    out: list[tuple[BasisIndex, int]] = []
     if ka == "L" and kb == "L":
         n, m = a.dd // 2, b.dd // 2
-        coeff = Fraction(m - n)
+        coeff = (m - n) * D
         if coeff:
             out.append((BasisIndex("L", a.dd + b.dd), sign * coeff))
         if p.central and m + n == 0:
-            cc = Fraction(m**3 - m, 12)
+            cc = (m**3 - m) * (D // 12)
             if cc:
                 out.append((C, sign * cc))
     elif ka == "L" and kb == "M":
         n, m = a.dd // 2, b.dd // 2
-        coeff = m - p.lam * n
+        coeff = m * D - num * n * (D // den)
         if coeff:
             out.append((BasisIndex("M", a.dd + b.dd), sign * coeff))
     elif ka == "L" and kb == "Y":
         n = a.dd // 2
-        coeff = Fraction(b.dd, 2) - (p.lam + 1) / 2 * n
+        coeff = b.dd * (D // 2) - (num + den) * n * (D // (2 * den))
         if coeff:
             out.append((BasisIndex("Y", a.dd + b.dd), sign * coeff))
     elif ka == "Y" and kb == "Y":
-        coeff = Fraction(b.dd - a.dd, 2)
+        coeff = (b.dd - a.dd) * (D // 2)
         if coeff:
             out.append((BasisIndex("M", a.dd + b.dd), sign * coeff))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def bracket_basis(
+    a: BasisIndex, b: BasisIndex, p: AlgebraParams
+) -> tuple[tuple[BasisIndex, Fraction], ...]:
+    """Bracket of two basis generators as a tuple of (index, coefficient):
+    the bracket_int table divided by p.scale."""
+    return tuple((e, Fraction(k, p.scale)) for e, k in bracket_int(a, b, p))
 
 
 def bracket(x: Element, y: Element, p: AlgebraParams) -> Element:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +42,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 MAX_WINDOW = 64
+# Below 4 the window holds at most L[-1..1], an sl2 whose invariant tensors
+# are not center products: the interior checks would fail falsely.
+MIN_INTERIOR_WINDOW = 4
 
 
 class UsageError(ValueError):
@@ -72,7 +74,6 @@ class JobConfig:
     target: str = "algebra"
     order: int = 2
     json_output: bool = False
-    threads: int = 1
     operands: tuple = ()
 
 
@@ -89,15 +90,11 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
     bound = getattr(args, "window", 12)
     if not (0 < bound <= MAX_WINDOW):
         raise UsageError(f"window bound must be in 1..{MAX_WINDOW}, got {bound}")
-    threads = 1
-    env = os.environ.get("SVLIE_THREADS")
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise UsageError(f"SVLIE_THREADS must be an integer, got {env!r}")
-        if threads < 1:
-            raise UsageError("SVLIE_THREADS must be at least 1")
+    if args.command in ("invariants", "skew-lemma") and bound < MIN_INTERIOR_WINDOW:
+        raise UsageError(
+            f"{args.command} needs --window at least {MIN_INTERIOR_WINDOW}: the "
+            f"interior check needs at least L[-2..2], got {bound}"
+        )
     degree = _parse_rational(getattr(args, "degree", "0") or "0")
     return JobConfig(
         command=args.command,
@@ -109,7 +106,6 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
         target=getattr(args, "target", "algebra"),
         order=getattr(args, "order", 2),
         json_output=bool(getattr(args, "json", False)),
-        threads=threads,
         operands=tuple(getattr(args, "operands", ()) or ()),
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import (
@@ -20,7 +21,7 @@ from .algebra import (
     Element,
     Window,
     action_kernel,
-    bracket_basis,
+    bracket_int,
     center_in_window,
     rat,
 )
@@ -86,6 +87,7 @@ class LinearSystem:
     labels are (generator, target key) pairs in the deterministic pivot
     order; rows are integer coefficient dicts over label ids, each with a
     provenance tag naming the generator pair and result key it encodes.
+    table holds the integer structure constants the rows were built on.
     """
 
     params: AlgebraParams
@@ -98,6 +100,8 @@ class LinearSystem:
     provenance: list[tuple[BasisIndex, BasisIndex, TargetKey]]
     generators: list[BasisIndex]
     slice_keys: dict[BasisIndex, list[TargetKey]]
+    center_set: Optional[frozenset]
+    table: dict = field(repr=False, compare=False)
 
     @property
     def n_unknowns(self) -> int:
@@ -149,6 +153,17 @@ def _slice_keys(
                 keys.append((i, j))
     keys.sort()
     return keys
+
+
+class _BracketTable(dict):
+    """bracket_int(a, b, p) keyed on (a, b), computed on first lookup."""
+
+    def __init__(self, p: AlgebraParams) -> None:
+        self.p = p
+
+    def __missing__(self, key: tuple[BasisIndex, BasisIndex]):
+        terms = self[key] = bracket_int(*key, self.p)
+        return terms
 
 
 def _center_index_set(p: AlgebraParams, w: Window) -> frozenset:
@@ -222,6 +237,7 @@ def assemble(
                         return False
         return True
 
+    table = _BracketTable(p)
     rows: list[dict[int, int]] = []
     provenance: list[tuple[BasisIndex, BasisIndex, TargetKey]] = []
 
@@ -241,7 +257,7 @@ def assemble(
     pairs.sort(key=pair_sort_key)
 
     for g, h in pairs:
-        br = bracket_basis(g, h, p)
+        br = table[g, h]
         if br:
             if any(not win.contains(e) for e, _ in br):
                 continue
@@ -253,11 +269,11 @@ def assemble(
             win.contains_dd(g.dd + shift) and win.contains_dd(h.dd + shift)
         ):
             continue
-        block: dict[TargetKey, dict[int, Fraction]] = {}
+        block: dict[TargetKey, dict[int, int]] = {}
 
-        def add(t: TargetKey, lab, coeff: Fraction) -> None:
+        def add(t: TargetKey, lab: int, coeff: int) -> None:
             cell = block.setdefault(t, {})
-            cell[lab] = cell.get(lab, Fraction(0)) + coeff
+            cell[lab] = cell.get(lab, 0) + coeff
 
         for e, k in br:
             for t in slice_keys.get(e, ()):
@@ -266,13 +282,13 @@ def assemble(
             for t in slice_keys[source]:
                 lab = index[(source, t)]
                 if base == ALGEBRA:
-                    for e, k in bracket_basis(actor, t, p):
+                    for e, k in table[actor, t]:
                         add(e, lab, sign * k)
                 else:
                     a, b = t
-                    for e, k in bracket_basis(actor, a, p):
+                    for e, k in table[actor, a]:
                         add((e, b), lab, sign * k)
-                    for e, k in bracket_basis(actor, b, p):
+                    for e, k in table[actor, b]:
                         add((a, e), lab, sign * k)
         for t in sorted(block):
             expr = {lab: c for lab, c in block[t].items() if c}
@@ -280,11 +296,14 @@ def assemble(
                 continue
             if base != ALGEBRA and not tensor_row_ok(g, h, t):
                 continue
-            rows.append(int_row(expr))
+            # expr is the row times p.scale; this is int_row(expr / p.scale)
+            den = gcd(p.scale, *expr.values())
+            rows.append({lab: c // den for lab, c in expr.items()})
             provenance.append((g, h, t))
 
     return LinearSystem(
-        p, target, alpha, w, labels, index, rows, provenance, gens, slice_keys
+        p, target, alpha, w, labels, index, rows, provenance, gens, slice_keys,
+        center_set, table,
     )
 
 
@@ -292,33 +311,25 @@ def inner_vectors(system: LinearSystem) -> list[dict[int, Fraction]]:
     """Truncated coordinate vectors of g -> g . v for every window-supported
     homogeneous v in the target degree of the system."""
     p = system.params
-    w = system.window
     shift = int(system.alpha * 2)
-    center_set = (
-        _center_index_set(p, w) if system.target == CENTER_TENSOR else None
-    )
     base = TENSOR if system.target == CENTER_TENSOR else system.target
-    vs = _slice_keys(p, base, w, shift, center_set)
+    vs = _slice_keys(p, base, system.window, shift, system.center_set)
+    table = system.table
     out = []
     for v in vs:
-        vec: dict[int, Fraction] = {}
+        vec: dict[int, int] = {}
         for g in system.generators:
             if base == ALGEBRA:
-                for e, k in bracket_basis(g, v, p):
-                    lab = system.index.get((g, e))
-                    if lab is not None:
-                        vec[lab] = vec.get(lab, Fraction(0)) + k
+                images = table[g, v]
             else:
                 a, b = v
-                for e, k in bracket_basis(g, a, p):
-                    lab = system.index.get((g, (e, b)))
-                    if lab is not None:
-                        vec[lab] = vec.get(lab, Fraction(0)) + k
-                for e, k in bracket_basis(g, b, p):
-                    lab = system.index.get((g, (a, e)))
-                    if lab is not None:
-                        vec[lab] = vec.get(lab, Fraction(0)) + k
-        vec = {k: c for k, c in vec.items() if c}
+                images = [((e, b), k) for e, k in table[g, a]]
+                images += [((a, e), k) for e, k in table[g, b]]
+            for key, k in images:
+                lab = system.index.get((g, key))
+                if lab is not None:
+                    vec[lab] = vec.get(lab, 0) + k
+        vec = {k: Fraction(c, p.scale) for k, c in vec.items() if c}
         if vec:
             out.append(vec)
     return out

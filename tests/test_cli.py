@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from svlie import AlgebraParams, Window, catalog
 from svlie.cli import main
 from svlie.derivations import table_to_json
@@ -132,10 +134,18 @@ class TestCheckCommands:
         )
         assert code == 2 and "window" in err
 
-    def test_threads_env_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("SVLIE_THREADS", "zero")
-        code, _, err = run_cli(capsys, "center", "--s", "0", "--lambda", "0")
-        assert code == 2 and "SVLIE_THREADS" in err
+    @pytest.mark.parametrize("command", ["invariants", "skew-lemma"])
+    def test_interior_check_window_floor(self, capsys, command):
+        # at (0, 1) both checks report false failures at windows 2-3
+        code, out, err = run_cli(
+            capsys, command, "--s", "0", "--lambda", "1", "--window", "3"
+        )
+        assert code == 2 and out == ""
+        assert "at least 4" in err and "L[-2..2]" in err
+        code, _, _ = run_cli(
+            capsys, command, "--s", "0", "--lambda", "1", "--window", "4"
+        )
+        assert code == 0
 
     def test_coboundary(self, capsys, tmp_path):
         path = tmp_path / "witt.r"
