@@ -7,9 +7,10 @@ generators Y_{s+n} and (optionally) c.  All degrees are stored doubled, so
 the integer grading (s = 0) and the half-integer grading (s = 1/2) share
 one integer representation.
 
-Every coefficient is an exact ``fractions.Fraction`` (bracket_int returns
-ints over the common denominator p.scale); all values here are immutable
-after construction and every operation is a pure function.
+Every coefficient is an exact ``fractions.Fraction`` (bracket_int and
+BracketTable hold ints over the common denominator p.scale); all values
+here are immutable after construction and every operation is a pure
+function.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, NamedTuple, Optional, Union
 
 __all__ = [
     "AlgebraParams",
     "BasisIndex",
+    "BracketTable",
     "Element",
     "InvalidIndexError",
     "JacobiReport",
@@ -35,6 +37,7 @@ __all__ = [
     "bracket",
     "bracket_basis",
     "bracket_int",
+    "bracket_table",
     "center_in_window",
     "check_jacobi",
     "degree_of",
@@ -328,6 +331,32 @@ def bracket_basis(
     return tuple((e, Fraction(k, p.scale)) for e, k in bracket_int(a, b, p))
 
 
+class BracketTable(dict):
+    """Generator brackets times p.scale, keyed on (a, b) and computed on
+    first lookup: bracket_int(a, b, p), or bracket_fn read on the basis
+    pair when one is given."""
+
+    def __init__(self, p: AlgebraParams, bracket_fn=None) -> None:
+        self.p = p
+        self.bracket_fn = bracket_fn
+
+    def __missing__(self, key: tuple[BasisIndex, BasisIndex]):
+        a, b = key
+        if self.bracket_fn is None:
+            terms = bracket_int(a, b, self.p)
+        else:
+            out = self.bracket_fn(Element.basis(a), Element.basis(b))
+            terms = tuple((e, c * self.p.scale) for e, c in out.items())
+        self[key] = terms
+        return terms
+
+
+@lru_cache(maxsize=None)
+def bracket_table(p: AlgebraParams) -> BracketTable:
+    """The shared BracketTable of p, one per parameter set."""
+    return BracketTable(p)
+
+
 def bracket(x: Element, y: Element, p: AlgebraParams) -> Element:
     """Bilinear extension of the generator bracket table."""
     out: dict[BasisIndex, Fraction] = {}
@@ -434,19 +463,24 @@ def check_jacobi(p: AlgebraParams, w: Window, bracket_fn=None) -> JacobiReport:
     A triple is checked when all pairwise sums and the triple sum of
     doubled degrees stay in the window, so every intermediate product is
     representable.  bracket_fn may replace the bracket (the negative
-    controls in the test suite corrupt it deliberately).
+    controls in the test suite corrupt it deliberately); it is read on
+    generator pairs only and extended bilinearly.
+
+    The nested brackets are summed on the scaled table, so each residual
+    is p.scale**2 times the true one; only a failing triple builds its
+    residual Element.
     """
-    brk = bracket_fn or (lambda x, y: bracket(x, y, p))
+    table = bracket_table(p) if bracket_fn is None else BracketTable(p, bracket_fn)
+    scale2 = p.scale**2
     gens = w.basis_indices(p)
     checked = 0
     failures = []
     for i, gx in enumerate(gens):
-        ex = Element.basis(gx)
         for j in range(i + 1, len(gens)):
             gy = gens[j]
             if not w.contains_dd(gx.dd + gy.dd):
                 continue
-            ey = Element.basis(gy)
+            xy = table[gx, gy]
             for k in range(j + 1, len(gens)):
                 gz = gens[k]
                 if not (
@@ -455,15 +489,17 @@ def check_jacobi(p: AlgebraParams, w: Window, bracket_fn=None) -> JacobiReport:
                     and w.contains_dd(gx.dd + gy.dd + gz.dd)
                 ):
                     continue
-                ez = Element.basis(gz)
-                res = (
-                    brk(brk(ex, ey), ez)
-                    + brk(brk(ey, ez), ex)
-                    + brk(brk(ez, ex), ey)
-                )
+                res: dict[BasisIndex, int] = {}
+                for inner, outer in (
+                    (xy, gz), (table[gy, gz], gx), (table[gz, gx], gy)
+                ):
+                    for e, k1 in inner:
+                        for f, k2 in table[e, outer]:
+                            res[f] = res.get(f, 0) + k1 * k2
                 checked += 1
-                if res:
-                    failures.append((gx, gy, gz, res))
+                if any(res.values()):
+                    residual = Element({f: Fraction(v, scale2) for f, v in res.items()})
+                    failures.append((gx, gy, gz, residual))
     return JacobiReport(p, w, checked, failures)
 
 
@@ -489,6 +525,7 @@ def action_kernel(
     """
     from . import linalg
 
+    table = bracket_table(p)
     gens = w.basis_indices(p)
     if arity == 1:
         keys = [(a,) for a in w.indices_at(0, p)]
@@ -496,19 +533,22 @@ def action_kernel(
         keys = [(a, b) for a in gens for b in w.indices_at(-a.dd, p)]
     else:
         raise ValueError("arity must be 1 or 2")
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    rows: dict[tuple, dict[int, int]] = {}
     for g in gens:
         for col, key in enumerate(keys):
             for slot, x in enumerate(key):
-                for e, coeff in bracket_basis(g, x, p):
+                for e, k in table[g, x]:
                     res = key[:slot] + (e,) + key[slot + 1:]
                     if symmetric:
                         res = min(res, res[::-1])
                     cell = rows.setdefault((g, res), {})
-                    cell[col] = cell.get(col, 0) + coeff
+                    cell[col] = cell.get(col, 0) + k
     ech = linalg.RowEchelon()
     for rkey in sorted(rows):
-        ech.insert(linalg.int_row(rows[rkey]))
+        # the row times p.scale; this is int_row(row / p.scale)
+        row = {col: k for col, k in rows[rkey].items() if k}
+        den = gcd(p.scale, *row.values())
+        ech.insert({col: k // den for col, k in row.items()})
     labels = [k[0] for k in keys] if arity == 1 else keys
     return [
         {labels[i]: c for i, c in vec.items()}

@@ -18,10 +18,10 @@ from typing import Iterable, Optional, Sequence, Union
 from .algebra import (
     AlgebraParams,
     BasisIndex,
+    BracketTable,
     Element,
     Window,
     action_kernel,
-    bracket_int,
     center_in_window,
     rat,
 )
@@ -155,17 +155,6 @@ def _slice_keys(
     return keys
 
 
-class _BracketTable(dict):
-    """bracket_int(a, b, p) keyed on (a, b), computed on first lookup."""
-
-    def __init__(self, p: AlgebraParams) -> None:
-        self.p = p
-
-    def __missing__(self, key: tuple[BasisIndex, BasisIndex]):
-        terms = self[key] = bracket_int(*key, self.p)
-        return terms
-
-
 def _center_index_set(p: AlgebraParams, w: Window) -> frozenset:
     """Window center as a set of basis indices.
 
@@ -237,7 +226,9 @@ def assemble(
                         return False
         return True
 
-    table = _BracketTable(p)
+    # a table per system, not bracket_table(p): the shared one would keep
+    # every system's entries alive
+    table = BracketTable(p)
     rows: list[dict[int, int]] = []
     provenance: list[tuple[BasisIndex, BasisIndex, TargetKey]] = []
 
@@ -646,14 +637,13 @@ def verify_center_tensor_identity(p: AlgebraParams, w: Window) -> CheckReport:
     center-tensored degree-zero cohomology of the algebra itself."""
     from .derivations import tensorized_algebra_family
 
-    left_report = solve_h1(p, CENTER_TENSOR, 0, w)
-    left = left_report.dim_h1
+    system = assemble(p, CENTER_TENSOR, 0, w)
+    left = solve_h1(p, CENTER_TENSOR, 0, w, system=system).dim_h1
 
     h1_report = solve_h1(p, ALGEBRA, 0, w)
     center = center_in_window(p, w)
     naive = 2 * len(center) * h1_report.dim_h1
 
-    system = assemble(p, CENTER_TENSOR, Fraction(0), w)
     interior = frozenset(system.interior_ids())
     ech = RowEchelon()
     for vec in inner_vectors(system):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Optional, Union
 
 from .algebra import (
@@ -19,12 +20,11 @@ from .algebra import (
     BasisIndex,
     Element,
     Window,
-    bracket,
-    bracket_basis,
+    bracket_table,
     center_in_window,
     rat,
 )
-from .tensors import Tensor2, diag_action
+from .tensors import Tensor2
 
 __all__ = [
     "CatalogCaseError",
@@ -135,14 +135,8 @@ class DerivationReport:
         return self.violations[0] if self.violations else None
 
 
-def _act(g: BasisIndex, val: Value, p: AlgebraParams) -> Value:
-    if isinstance(val, Tensor2):
-        return diag_action(Element.basis(g), val, p)
-    return bracket(Element.basis(g), val, p)
-
-
-def _support_in_window(val: Value, w: Window) -> bool:
-    for key in val.terms:
+def _support_in_window(terms: Mapping, w: Window) -> bool:
+    for key in terms:
         if isinstance(key, BasisIndex):
             if not w.contains(key):
                 return False
@@ -152,36 +146,76 @@ def _support_in_window(val: Value, w: Window) -> bool:
     return True
 
 
+def _scaled_action(table, g: BasisIndex, val: Mapping) -> dict:
+    """Coordinates of g . val times p.scale from the BracketTable of p,
+    zeros dropped: the bracket for generator keys, the Leibniz action on
+    both slots for pair keys."""
+    out: dict = {}
+    for key, c in val.items():
+        if isinstance(key, BasisIndex):
+            for e, k in table[g, key]:
+                out[e] = out.get(e, 0) + c * k
+        else:
+            a, b = key
+            for e, k in table[g, a]:
+                out[e, b] = out.get((e, b), 0) + c * k
+            for e, k in table[g, b]:
+                out[a, e] = out.get((a, e), 0) + c * k
+    return {key: c for key, c in out.items() if c}
+
+
 def is_derivation(D: DerivationTable, p: AlgebraParams) -> DerivationReport:
     """Check the derivation identity on every admissible generator pair.
 
     A pair (g, h) is admissible when the bracket components stay in the
     window and both action results are window-supported; boundary pairs
     are skipped, never guessed.
+
+    The identity is checked in integers, scaled by p.scale (the bracket
+    table) and by the common denominator of the table's values; only a
+    violation builds its two sides as values.
     """
     w = D.window
     gens = w.basis_indices(p)
+    table = bracket_table(p)
+    den = lcm(1, *(c.denominator for v in D.values.values() for c in v.terms.values()))
+    vals = {
+        g: {key: c.numerator * (den // c.denominator) for key, c in v.terms.items()}
+        for g, v in D.values.items()
+    }
+    unit = p.scale * den
+    make = Element if D.target == ALGEBRA else Tensor2
     checked = skipped = 0
     violations = []
     for i, g in enumerate(gens):
         for j in range(i + 1, len(gens)):
             h = gens[j]
-            br = bracket_basis(g, h, p)
+            br = table[g, h]
             if any(not w.contains(e) for e, _ in br):
                 skipped += 1
                 continue
-            rhs_g = _act(g, D.value(h), p)
-            rhs_h = _act(h, D.value(g), p)
+            rhs_g = _scaled_action(table, g, vals.get(h, {}))
+            rhs_h = _scaled_action(table, h, vals.get(g, {}))
             if not (_support_in_window(rhs_g, w) and _support_in_window(rhs_h, w)):
                 skipped += 1
                 continue
-            lhs = _zero(D.target)
-            for e, coeff in br:
-                lhs = lhs + D.value(e).scaled(coeff)
-            rhs = rhs_g - rhs_h
+            lhs: dict = {}
+            for e, k in br:
+                for key, c in vals.get(e, {}).items():
+                    lhs[key] = lhs.get(key, 0) + k * c
+            lhs = {key: c for key, c in lhs.items() if c}
+            rhs = rhs_g
+            for key, c in rhs_h.items():
+                rhs[key] = rhs.get(key, 0) - c
+            rhs = {key: c for key, c in rhs.items() if c}
             checked += 1
             if lhs != rhs:
-                violations.append((g, h, lhs, rhs))
+                violations.append((
+                    g,
+                    h,
+                    make({key: Fraction(c, unit) for key, c in lhs.items()}),
+                    make({key: Fraction(c, unit) for key, c in rhs.items()}),
+                ))
     return DerivationReport(D, p, checked, skipped, violations)
 
 
@@ -196,11 +230,12 @@ def inner(v: Value, p: AlgebraParams, w: Window) -> DerivationTable:
     if len(degrees) > 1:
         raise ValueError("inner derivation needs a homogeneous element")
     shift = degrees.pop() if degrees else 0
+    table = bracket_table(p)
     values = {}
     for g in w.basis_indices(p):
-        val = _act(g, v, p)
+        val = _scaled_action(table, g, v.terms)
         if val:
-            values[g] = val
+            values[g] = type(v)({key: c / p.scale for key, c in val.items()})
     return DerivationTable(target, Fraction(shift, 2), w, values, name="inner")
 
 

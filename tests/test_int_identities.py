@@ -1,0 +1,331 @@
+"""Integer-table Jacobi and derivation checks against the Fraction checks.
+
+The reference keeps the checks the integer structure-constant table
+replaces: an `Element` per generator, `bracket` on every nested product
+and `Fraction` arithmetic on every triple and pair, with the derivation
+identity compared on `bracket` and `tensors.diag_action` values.  Both
+must report the same `checked` and `skipped` counts and the same failure
+and violation lists, witness values included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from svlie.algebra import (
+    AlgebraParams,
+    BasisIndex,
+    Element,
+    InvalidIndexError,
+    Window,
+    L,
+    M,
+    Y,
+    bracket,
+    bracket_table,
+    check_jacobi,
+)
+from svlie.cli import main
+from svlie.derivations import (
+    ALGEBRA,
+    TENSOR,
+    DeferredCaseError,
+    DerivationTable,
+    catalog,
+    catalog_basis,
+    inner,
+    is_derivation,
+    table_to_json,
+)
+from svlie.tensors import Tensor2, diag_action
+
+HALF = Fraction(1, 2)
+
+ROWS = [
+    (HALF, Fraction(0)),
+    (HALF, Fraction(-1)),
+    (HALF, Fraction(-2)),
+    (HALF, Fraction(3)),
+    (Fraction(0), Fraction(0)),
+    (Fraction(0), Fraction(-1)),
+    (Fraction(0), Fraction(-2)),
+    (Fraction(0), Fraction(1)),
+    (Fraction(0), Fraction(5)),
+    (Fraction(0), Fraction(-3)),
+    (Fraction(0), Fraction(-5, 3)),
+]
+
+JACOBI_WINDOWS = [Window.symmetric(4), Window.symmetric(8), Window(-4, 8)]
+DERIVATION_WINDOWS = [Window.symmetric(6), Window.symmetric(10), Window(-4, 8)]
+
+
+def reference_check_jacobi(p, w, bracket_fn=None):
+    """The Fraction Jacobi check: (checked, failures)."""
+    brk = bracket_fn or (lambda x, y: bracket(x, y, p))
+    gens = w.basis_indices(p)
+    checked = 0
+    failures = []
+    for i, gx in enumerate(gens):
+        ex = Element.basis(gx)
+        for j in range(i + 1, len(gens)):
+            gy = gens[j]
+            if not w.contains_dd(gx.dd + gy.dd):
+                continue
+            ey = Element.basis(gy)
+            for k in range(j + 1, len(gens)):
+                gz = gens[k]
+                if not (
+                    w.contains_dd(gy.dd + gz.dd)
+                    and w.contains_dd(gx.dd + gz.dd)
+                    and w.contains_dd(gx.dd + gy.dd + gz.dd)
+                ):
+                    continue
+                ez = Element.basis(gz)
+                res = (
+                    brk(brk(ex, ey), ez)
+                    + brk(brk(ey, ez), ex)
+                    + brk(brk(ez, ex), ey)
+                )
+                checked += 1
+                if res:
+                    failures.append((gx, gy, gz, res))
+    return checked, failures
+
+
+def _act(g, val, p):
+    if isinstance(val, Tensor2):
+        return diag_action(Element.basis(g), val, p)
+    return bracket(Element.basis(g), val, p)
+
+
+def _support_in_window(val, w):
+    for key in val.terms:
+        keys = (key,) if isinstance(key, BasisIndex) else key
+        if not all(w.contains(i) for i in keys):
+            return False
+    return True
+
+
+def reference_is_derivation(D, p):
+    """The Fraction derivation check: (checked, skipped, violations)."""
+    w = D.window
+    gens = w.basis_indices(p)
+    zero = Element.zero() if D.target == ALGEBRA else Tensor2.zero()
+    checked = skipped = 0
+    violations = []
+    for i, g in enumerate(gens):
+        for h in gens[i + 1:]:
+            br = bracket(Element.basis(g), Element.basis(h), p)
+            if any(not w.contains(e) for e in br.terms):
+                skipped += 1
+                continue
+            rhs_g = _act(g, D.value(h), p)
+            rhs_h = _act(h, D.value(g), p)
+            if not (_support_in_window(rhs_g, w) and _support_in_window(rhs_h, w)):
+                skipped += 1
+                continue
+            lhs = zero
+            for e, coeff in br.items():
+                lhs = lhs + D.value(e).scaled(coeff)
+            rhs = rhs_g - rhs_h
+            checked += 1
+            if lhs != rhs:
+                violations.append((g, h, lhs, rhs))
+    return checked, skipped, violations
+
+
+def assert_same_failures(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a == b
+        assert [type(x) for x in a] == [type(x) for x in b]
+        assert [str(x) for x in a[2:]] == [str(x) for x in b[2:]]
+
+
+def assert_jacobi_matches(p, w, bracket_fn=None, reference_fn=None):
+    rep = check_jacobi(p, w, bracket_fn=bracket_fn)
+    checked, failures = reference_check_jacobi(p, w, reference_fn or bracket_fn)
+    assert rep.checked == checked
+    assert_same_failures(rep.failures, failures)
+    return rep
+
+
+def assert_derivation_matches(D, p):
+    rep = is_derivation(D, p)
+    checked, skipped, violations = reference_is_derivation(D, p)
+    assert (rep.checked, rep.skipped) == (checked, skipped)
+    assert_same_failures(rep.violations, violations)
+    return rep
+
+
+def perturbed(D, rng):
+    """D with one stored coefficient moved by a random nonzero rational."""
+    g = rng.choice(sorted(D.values))
+    val = D.values[g]
+    terms = dict(val.terms)
+    key = rng.choice(sorted(terms))
+    terms[key] += Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 7]))
+    values = dict(D.values)
+    values[g] = type(val)(terms)
+    return DerivationTable(D.target, D.degree, D.window, values, name=D.name)
+
+
+def catalog_tables(p, w):
+    for target in (ALGEBRA, TENSOR):
+        try:
+            yield from catalog_basis(p, target, w)
+        except DeferredCaseError:
+            continue
+
+
+def test_bracket_table_is_shared_per_params():
+    p = AlgebraParams(0, Fraction(-5, 3))
+    assert bracket_table(p) is bracket_table(AlgebraParams(0, Fraction(-5, 3)))
+    assert bracket_table(p) is not bracket_table(AlgebraParams(0, Fraction(-5, 3), False))
+    assert bracket_table(p)[L(2), M(1)] == ((M(3), 52),)  # (1 + 10/3) * 12
+
+
+@pytest.mark.parametrize("s,lam", ROWS)
+def test_jacobi_matches_reference(s, lam):
+    for central in (True, False):
+        p = AlgebraParams(s, lam, central)
+        for w in JACOBI_WINDOWS:
+            rep = assert_jacobi_matches(p, w)
+            assert rep.ok and rep.checked > 0
+
+
+def test_jacobi_bilinear_corruption_matches_reference():
+    p = AlgebraParams(0, 5)
+
+    def corrupted(x, y):
+        out = bracket(x, y, p)
+        extra = x.coeff(L(1)) * y.coeff(M(1)) - x.coeff(M(1)) * y.coeff(L(1))
+        return out + Element({M(2): extra * Fraction(3, 7)})
+
+    for w in (Window.symmetric(6), Window(-4, 8)):
+        rep = assert_jacobi_matches(p, w, bracket_fn=corrupted)
+        assert not rep.ok
+
+
+def test_jacobi_hook_is_read_on_generator_pairs():
+    """A hook that is not bilinear (the corruption used in test_algebra) is
+    read on basis pairs and extended bilinearly."""
+    p = AlgebraParams(0, 5)
+
+    def corrupted(x, y):
+        out = bracket(x, y, p)
+        if x.coeff(L(1)) and y.coeff(M(1)):
+            out = out + Element.basis(M(2))
+        return out
+
+    def bilinear(x, y):
+        out = Element()
+        for a, ca in x.items():
+            for b, cb in y.items():
+                out = out + corrupted(Element.basis(a), Element.basis(b)).scaled(ca * cb)
+        return out
+
+    rep = assert_jacobi_matches(
+        p, Window.symmetric(6), bracket_fn=corrupted, reference_fn=bilinear
+    )
+    assert not rep.ok
+
+
+@pytest.mark.parametrize("s,lam", ROWS)
+def test_catalog_derivations_match_reference(s, lam):
+    rng = random.Random(f"{s}/{lam}")
+    for central in (True, False):
+        p = AlgebraParams(s, lam, central)
+        for w in DERIVATION_WINDOWS:
+            for table in catalog_tables(p, w):
+                rep = assert_derivation_matches(table, p)
+                assert rep.ok and rep.checked > 0
+                if table.values:
+                    bad = assert_derivation_matches(perturbed(table, rng), p)
+                    assert not bad.ok
+
+
+def test_catalog_under_other_rows_matches_reference():
+    w = Window.symmetric(8)
+    for (s, lam), (_, other) in zip(ROWS, ROWS[1:] + ROWS[:1]):
+        own = AlgebraParams(s, lam)
+        for table in catalog_tables(own, w):
+            assert_derivation_matches(table, AlgebraParams(s, other))
+            assert_derivation_matches(table, AlgebraParams(s, other, central=False))
+
+
+def test_mismatched_case_controls_match_reference():
+    w = Window.symmetric(16)
+    controls = [
+        (AlgebraParams(0, -2), {"l_to_m_n3": 1}, AlgebraParams(0, -1)),
+        (AlgebraParams(HALF, -1), {"l_to_m_n2_minus_n": 1}, AlgebraParams(HALF, 3)),
+        (AlgebraParams(0, 1), {"y_to_m_1": 1}, AlgebraParams(0, 5)),
+    ]
+    for own, params, wrong in controls:
+        (table,) = catalog(own, ALGEBRA, w, params=params)
+        rep = assert_derivation_matches(table, wrong)
+        assert not rep.ok and rep.witness() is not None
+
+
+def test_inner_and_raw_tables_match_reference():
+    """inner() against the bracket and diag_action values, and raw tables."""
+    w = Window.symmetric(6)
+    for s, lam in ROWS:
+        for central in (True, False):
+            p = AlgebraParams(s, lam, central)
+            for v in (
+                Element({L(1): Fraction(2, 3)}),
+                Element({M(0): 1}),
+                Tensor2({(L(0), L(1)): Fraction(-5, 2)}),
+                Tensor2({(M(-1), L(2)): Fraction(1, 3), (L(1), M(0)): 4}),
+            ):
+                table = inner(v, p, w)
+                acted = {g: _act(g, v, p) for g in w.basis_indices(p)}
+                assert table.values == {g: val for g, val in acted.items() if val}
+                assert assert_derivation_matches(table, p).ok
+    # inhomogeneous values with mixed denominators, and a value whose
+    # action leaves the window
+    p = AlgebraParams(0, -2)
+    raw = DerivationTable(
+        ALGEBRA, None, w,
+        {L(1): Element({M(1): Fraction(1, 3), L(2): 5}), M(0): Element({M(0): 2})},
+    )
+    assert not assert_derivation_matches(raw, p).ok
+    outside = DerivationTable(
+        ALGEBRA, Fraction(0), Window.symmetric(4), {L(1): Element({L(1): 1, M(6): 1})}
+    )
+    assert_derivation_matches(outside, p)
+    # at lambda = 0, M[1] acts on this value by cancelling M[1] (x) M[3]
+    # outright, so the pair (M[1], L[0]) is checked, not skipped
+    cancel = DerivationTable(
+        TENSOR, Fraction(0), Window.symmetric(4),
+        {L(0): Tensor2({(L(0), M(3)): 1, (M(1), L(2)): -1})},
+    )
+    for lam in (0, 1):
+        assert_derivation_matches(cancel, AlgebraParams(0, lam))
+
+
+def test_wrong_parity_value_raises_like_reference():
+    w = Window.symmetric(6)
+    table = DerivationTable(ALGEBRA, Fraction(0), w, {L(1): Element({Y(HALF): 1})})
+    p = AlgebraParams(0, 1)
+    with pytest.raises(InvalidIndexError) as want:
+        reference_is_derivation(table, p)
+    with pytest.raises(InvalidIndexError) as got:
+        is_derivation(table, p)
+    assert str(got.value) == str(want.value)
+
+
+def test_check_derivation_witness_line(capsys, tmp_path):
+    (table,) = catalog(
+        AlgebraParams(0, -2), ALGEBRA, Window.symmetric(10), params={"l_to_m_n3": 1}
+    )
+    path = tmp_path / "table.json"
+    path.write_text(table_to_json(table))
+    code = main(["check-derivation", "--s", "0", "--lambda", "-1", "--derivation", str(path)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "derivation check: FAIL (477 pairs checked, 84 boundary pairs skipped)",
+        "witness pair (L[-5], L[1]): D[g,h] = -384*M[-4] but action gives -504*M[-4]",
+    ]
