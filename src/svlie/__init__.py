@@ -48,7 +48,6 @@ from .tensors import (
     coboundary,
     cyclic,
     diag_action,
-    diag_action3,
     skew_part_membership,
     twist,
     ybe_c,

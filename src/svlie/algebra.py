@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 __all__ = [
     "AlgebraParams",
@@ -35,7 +35,6 @@ __all__ = [
     "Y",
     "action_kernel",
     "bracket",
-    "bracket_basis",
     "bracket_int",
     "bracket_table",
     "center_in_window",
@@ -234,10 +233,6 @@ class Element:
         return f"Element({self})"
 
 
-def format_coeff(coeff: Fraction) -> str:
-    return str(coeff)
-
-
 def format_terms(items, tensor: bool) -> str:
     """Shared canonical printer for element and tensor literals.
 
@@ -251,10 +246,10 @@ def format_terms(items, tensor: bool) -> str:
     for key, coeff in items:
         if tensor:
             gens = " (x) ".join(idx.label() for idx in key)
-            body = f"{format_coeff(abs(coeff))} * {gens}"
+            body = f"{abs(coeff)} * {gens}"
         else:
             mag = abs(coeff)
-            body = key.label() if mag == 1 else f"{format_coeff(mag)}*{key.label()}"
+            body = key.label() if mag == 1 else f"{mag}*{key.label()}"
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:
@@ -322,15 +317,6 @@ def bracket_int(
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def bracket_basis(
-    a: BasisIndex, b: BasisIndex, p: AlgebraParams
-) -> tuple[tuple[BasisIndex, Fraction], ...]:
-    """Bracket of two basis generators as a tuple of (index, coefficient):
-    the bracket_int table divided by p.scale."""
-    return tuple((e, Fraction(k, p.scale)) for e, k in bracket_int(a, b, p))
-
-
 class BracketTable(dict):
     """Generator brackets times p.scale, keyed on (a, b) and computed on
     first lookup: bracket_int(a, b, p), or bracket_fn read on the basis
@@ -350,26 +336,42 @@ class BracketTable(dict):
         self[key] = terms
         return terms
 
+    def act(self, g: BasisIndex, vec: Mapping) -> dict:
+        """Coordinates of g . vec times p.scale, zeros dropped.
 
-@lru_cache(maxsize=None)
+        vec maps keys to coefficients: a generator key is bracketed, a
+        tuple key of any length takes the Leibniz action slot by slot,
+        g . (a (x) b) = [g, a] (x) b + a (x) [g, b].
+        """
+        out: dict = {}
+        for key, c in vec.items():
+            if type(key) is BasisIndex:
+                for e, k in self[g, key]:
+                    out[e] = out.get(e, 0) + c * k
+                continue
+            for slot, x in enumerate(key):
+                head, tail = key[:slot], key[slot + 1:]
+                for e, k in self[g, x]:
+                    res = head + (e,) + tail
+                    out[res] = out.get(res, 0) + c * k
+        return {key: c for key, c in out.items() if c}
+
+
+@lru_cache(maxsize=8)
 def bracket_table(p: AlgebraParams) -> BracketTable:
-    """The shared BracketTable of p, one per parameter set."""
+    """The shared BracketTable of p.  The last few parameter sets are kept,
+    so a sweep over many of them holds a bounded number of tables."""
     return BracketTable(p)
 
 
 def bracket(x: Element, y: Element, p: AlgebraParams) -> Element:
     """Bilinear extension of the generator bracket table."""
+    table = bracket_table(p)
     out: dict[BasisIndex, Fraction] = {}
-    for ia, ca in x.terms.items():
-        for ib, cb in y.terms.items():
-            scale = ca * cb
-            for idx, coeff in bracket_basis(ia, ib, p):
-                new = out.get(idx, 0) + scale * coeff
-                if new:
-                    out[idx] = new
-                else:
-                    out.pop(idx, None)
-    return Element(out)
+    for g, cg in x.terms.items():
+        for e, k in table.act(g, y.terms).items():
+            out[e] = out.get(e, 0) + cg * k
+    return Element({e: c / p.scale for e, c in out.items()})
 
 
 def degree_of(x: Element) -> Union[Fraction, str]:
@@ -412,8 +414,14 @@ class Window:
     def contains_dd(self, dd: int) -> bool:
         return self.lo <= dd <= self.hi
 
-    def contains(self, idx: BasisIndex) -> bool:
-        return self.lo <= idx.dd <= self.hi
+    def contains(self, key) -> bool:
+        """A generator key, or every generator of a tuple key, is in the window."""
+        if type(key) is BasisIndex:
+            return self.lo <= key.dd <= self.hi
+        for i in key:
+            if not self.lo <= i.dd <= self.hi:
+                return False
+        return True
 
     def interior(self) -> "Window":
         """The inner half-window, bounds halved toward zero."""
@@ -536,6 +544,8 @@ def action_kernel(
     rows: dict[tuple, dict[int, int]] = {}
     for g in gens:
         for col, key in enumerate(keys):
+            # BracketTable.act written out: a call per key made the
+            # kernels benchmark about 30% slower
             for slot, x in enumerate(key):
                 for e, k in table[g, x]:
                     res = key[:slot] + (e,) + key[slot + 1:]

@@ -109,15 +109,10 @@ class LinearSystem:
 
     def interior_ids(self) -> list[int]:
         inner = self.window.interior()
-
-        def keep(g: BasisIndex, t: TargetKey) -> bool:
-            if not inner.contains(g):
-                return False
-            if isinstance(t, BasisIndex):
-                return inner.contains(t)
-            return all(inner.contains(i) for i in t)
-
-        return [i for i, (g, t) in enumerate(self.labels) if keep(g, t)]
+        return [
+            i for i, (g, t) in enumerate(self.labels)
+            if inner.contains(g) and inner.contains(t)
+        ]
 
     def residual_is_zero(self, vec: dict[int, Fraction]) -> bool:
         for row in self.rows:
@@ -270,6 +265,8 @@ def assemble(
             for t in slice_keys.get(e, ()):
                 add(t, index[(e, t)], k)
         for actor, source, sign in ((g, h, -1), (h, g, 1)):
+            # BracketTable.act written out: a call per key made the
+            # h1-cases benchmark about 23% slower
             for t in slice_keys[source]:
                 lab = index[(source, t)]
                 if base == ALGEBRA:
@@ -310,13 +307,7 @@ def inner_vectors(system: LinearSystem) -> list[dict[int, Fraction]]:
     for v in vs:
         vec: dict[int, int] = {}
         for g in system.generators:
-            if base == ALGEBRA:
-                images = table[g, v]
-            else:
-                a, b = v
-                images = [((e, b), k) for e, k in table[g, a]]
-                images += [((a, e), k) for e, k in table[g, b]]
-            for key, k in images:
+            for key, k in table.act(g, {v: 1}).items():
                 lab = system.index.get((g, key))
                 if lab is not None:
                     vec[lab] = vec.get(lab, 0) + k
@@ -436,7 +427,7 @@ def solve_h1(
     sys_ = system if system is not None else assemble(p, solve_target, alpha, w)
     ech = RowEchelon()
     for row in sys_.rows:
-        ech.insert(dict(row))
+        ech.insert(row)
 
     interior = frozenset(sys_.interior_ids())
     ech_aug = ech.copy()
@@ -508,7 +499,7 @@ def kernel_tables(system: LinearSystem) -> list[DerivationTable]:
     """Full kernel basis as tables; intended for small windows."""
     ech = RowEchelon()
     for row in system.rows:
-        ech.insert(dict(row))
+        ech.insert(row)
     out = []
     for k, vec in enumerate(ech.kernel_basis(system.n_unknowns)):
         out.append(vector_to_table(system, vec, name=f"kernel-{k}"))
@@ -540,14 +531,7 @@ class CheckReport:
 
 
 def _interior_vec(value, inner: Window) -> dict:
-    out = {}
-    for key, coeff in value.terms.items():
-        if isinstance(key, BasisIndex):
-            if inner.contains(key):
-                out[key] = coeff
-        elif all(inner.contains(i) for i in key):
-            out[key] = coeff
-    return out
+    return {key: c for key, c in value.terms.items() if inner.contains(key)}
 
 
 def _span_rank(vectors: Iterable[dict]) -> int:

@@ -135,35 +135,6 @@ class DerivationReport:
         return self.violations[0] if self.violations else None
 
 
-def _support_in_window(terms: Mapping, w: Window) -> bool:
-    for key in terms:
-        if isinstance(key, BasisIndex):
-            if not w.contains(key):
-                return False
-        else:
-            if not all(w.contains(i) for i in key):
-                return False
-    return True
-
-
-def _scaled_action(table, g: BasisIndex, val: Mapping) -> dict:
-    """Coordinates of g . val times p.scale from the BracketTable of p,
-    zeros dropped: the bracket for generator keys, the Leibniz action on
-    both slots for pair keys."""
-    out: dict = {}
-    for key, c in val.items():
-        if isinstance(key, BasisIndex):
-            for e, k in table[g, key]:
-                out[e] = out.get(e, 0) + c * k
-        else:
-            a, b = key
-            for e, k in table[g, a]:
-                out[e, b] = out.get((e, b), 0) + c * k
-            for e, k in table[g, b]:
-                out[a, e] = out.get((a, e), 0) + c * k
-    return {key: c for key, c in out.items() if c}
-
-
 def is_derivation(D: DerivationTable, p: AlgebraParams) -> DerivationReport:
     """Check the derivation identity on every admissible generator pair.
 
@@ -194,9 +165,9 @@ def is_derivation(D: DerivationTable, p: AlgebraParams) -> DerivationReport:
             if any(not w.contains(e) for e, _ in br):
                 skipped += 1
                 continue
-            rhs_g = _scaled_action(table, g, vals.get(h, {}))
-            rhs_h = _scaled_action(table, h, vals.get(g, {}))
-            if not (_support_in_window(rhs_g, w) and _support_in_window(rhs_h, w)):
+            rhs_g = table.act(g, vals.get(h, {}))
+            rhs_h = table.act(h, vals.get(g, {}))
+            if not (all(map(w.contains, rhs_g)) and all(map(w.contains, rhs_h))):
                 skipped += 1
                 continue
             lhs: dict = {}
@@ -233,7 +204,7 @@ def inner(v: Value, p: AlgebraParams, w: Window) -> DerivationTable:
     table = bracket_table(p)
     values = {}
     for g in w.basis_indices(p):
-        val = _scaled_action(table, g, v.terms)
+        val = table.act(g, v.terms)
         if val:
             values[g] = type(v)({key: c / p.scale for key, c in val.items()})
     return DerivationTable(target, Fraction(shift, 2), w, values, name="inner")
@@ -406,8 +377,10 @@ def catalog_basis(p: AlgebraParams, target: str, w: Window) -> list[DerivationTa
 def tensorized_algebra_family(p: AlgebraParams, w: Window) -> list[DerivationTable]:
     """Center-legged tensor versions of the algebra-target family.
 
-    Unlike the tensor catalog this skips the deferred-case gate; the
-    center-tensor identity check compares against exactly this span.
+    The members are those of the algebra target, so the tensor-only gate
+    at (1/2, 0) does not apply, but (0, -3) raises DeferredCaseError as
+    it does for the catalog.  The center-tensor identity check compares
+    against exactly this span.
     """
     return _tensor_family(_case_members(p, ALGEBRA), p, w)
 

@@ -72,7 +72,7 @@ class RowEchelon:
         """Reduce a row against the stored pivots and keep the remainder.
 
         Returns the new pivot column, or None when the row is dependent.
-        The input dict is consumed.
+        The input dict is left unchanged: insert works on a copy.
         """
         row = dict(row)
         heap = list(row)

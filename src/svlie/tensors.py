@@ -16,7 +16,7 @@ from .algebra import (
     BasisIndex,
     Element,
     Window,
-    bracket_basis,
+    bracket_table,
     format_terms,
     rat,
 )
@@ -31,13 +31,11 @@ __all__ = [
     "coboundary",
     "cyclic",
     "diag_action",
-    "diag_action3",
     "skew_part_membership",
     "twist",
     "ybe_c",
 ]
 
-Pair = tuple[BasisIndex, BasisIndex]
 Triple = tuple[BasisIndex, BasisIndex, BasisIndex]
 
 
@@ -158,46 +156,15 @@ def skew_part_membership(t: Tensor2) -> bool:
     return twist(t) == -t
 
 
-def diag_action(x: Element, t: Tensor2, p: AlgebraParams) -> Tensor2:
-    """Leibniz action on both slots: x . (a (x) b) = [x,a] (x) b + a (x) [x,b]."""
-    out: dict[Pair, Fraction] = {}
+def diag_action(x: Element, t: _SparseTensor, p: AlgebraParams) -> _SparseTensor:
+    """Leibniz action on every slot of t, a Tensor2 or a Tensor3:
+    x . (a (x) b) = [x,a] (x) b + a (x) [x,b]."""
+    table = bracket_table(p)
+    out: dict = {}
     for g, cg in x.terms.items():
-        for (i, j), ct in t.terms.items():
-            scale = cg * ct
-            for e, coeff in bracket_basis(g, i, p):
-                key = (e, j)
-                new = out.get(key, 0) + scale * coeff
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-            for e, coeff in bracket_basis(g, j, p):
-                key = (i, e)
-                new = out.get(key, 0) + scale * coeff
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-    return Tensor2(out)
-
-
-def diag_action3(x: Element, t: Tensor3, p: AlgebraParams) -> Tensor3:
-    """Leibniz action with three summands."""
-    out: dict[Triple, Fraction] = {}
-    for g, cg in x.terms.items():
-        for (i, j, k), ct in t.terms.items():
-            scale = cg * ct
-            for slot, idx in enumerate((i, j, k)):
-                for e, coeff in bracket_basis(g, idx, p):
-                    key = [i, j, k]
-                    key[slot] = e
-                    key = tuple(key)
-                    new = out.get(key, 0) + scale * coeff
-                    if new:
-                        out[key] = new
-                    else:
-                        out.pop(key, None)
-    return Tensor3(out)
+        for key, c in table.act(g, t.terms).items():
+            out[key] = out.get(key, 0) + cg * c
+    return type(t)({key: c / p.scale for key, c in out.items()})
 
 
 def coboundary(r: Tensor2, x: Element, p: AlgebraParams) -> Tensor2:
@@ -216,26 +183,23 @@ def ybe_c(r: Tensor2, p: AlgebraParams) -> Tensor3:
     bracket and two pass-through slots, so the result lives in the triple
     tensor product of the algebra itself.
     """
+    table = bracket_table(p)
     out: dict[Triple, Fraction] = {}
 
     def add(key: Triple, val: Fraction) -> None:
-        new = out.get(key, 0) + val
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
+        out[key] = out.get(key, 0) + val
 
     terms = list(r.terms.items())
     for (a1, b1), c1 in terms:
         for (a2, b2), c2 in terms:
-            scale = c1 * c2
-            for e, coeff in bracket_basis(a1, a2, p):
-                add((e, b1, b2), scale * coeff)
-            for e, coeff in bracket_basis(b1, a2, p):
-                add((a1, e, b2), scale * coeff)
-            for e, coeff in bracket_basis(b1, b2, p):
-                add((a1, a2, e), scale * coeff)
-    return Tensor3(out)
+            c = c1 * c2
+            for e, k in table[a1, a2]:
+                add((e, b1, b2), c * k)
+            for e, k in table[b1, a2]:
+                add((a1, e, b2), c * k)
+            for e, k in table[b1, b2]:
+                add((a1, a2, e), c * k)
+    return Tensor3({key: v / p.scale for key, v in out.items()})
 
 
 def check_cybe(r: Tensor2, p: AlgebraParams) -> bool:
@@ -250,7 +214,7 @@ def check_mybe(r: Tensor2, p: AlgebraParams, w: Window) -> bool:
     if not obstruction:
         return True
     for g in w.basis_indices(p):
-        if diag_action3(Element.basis(g), obstruction, p):
+        if diag_action(Element.basis(g), obstruction, p):
             return False
     return True
 
@@ -281,7 +245,7 @@ def check_cojacobi_identity(r: Tensor2, x: Element, p: AlgebraParams) -> bool:
     first = coboundary(r, x, p)
     nested = _one_otimes_cobracket(first, r, p)
     lhs = nested + cyclic(nested) + cyclic(cyclic(nested))
-    rhs = diag_action3(x, ybe_c(r, p), p)
+    rhs = diag_action(x, ybe_c(r, p), p)
     return lhs == rhs
 
 

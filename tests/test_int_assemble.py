@@ -1,7 +1,7 @@
 """Integer structure-constant assembly against the Fraction construction.
 
 The reference keeps the assembly the integer table replaces: every
-coefficient read from `bracket_basis` as a `Fraction`, equation rows
+coefficient read from `bracket_int` as a `Fraction` over `p.scale`, equation rows
 summed in `Fraction`s and cleared by `int_row`, and the window center
 computed again for the inner vectors.  The systems built on either path
 must agree exactly: labels, rows, provenance, index, slice keys and the
@@ -16,8 +16,9 @@ from svlie.algebra import (
     C,
     AlgebraParams,
     BasisIndex,
+    Element,
     Window,
-    bracket_basis,
+    bracket,
     bracket_int,
 )
 from svlie.cohomology import (
@@ -57,6 +58,12 @@ DEGREES = [Fraction(0), HALF, -HALF, Fraction(2), Fraction(-2)]
 TARGETS = [ALGEBRA, CENTER_TENSOR, TENSOR]
 
 
+def frac_bracket(a, b, p):
+    """The generator bracket as (index, Fraction) pairs, read off
+    bracket_int directly rather than through a table."""
+    return [(e, Fraction(k, p.scale)) for e, k in bracket_int(a, b, p)]
+
+
 def reference_assemble(p, target, alpha, w):
     """The Fraction assembly: (labels, index, rows, provenance, gens,
     slice_keys, center_set)."""
@@ -92,7 +99,7 @@ def reference_assemble(p, target, alpha, w):
     ))
     rows, provenance = [], []
     for g, h in pairs:
-        br = bracket_basis(g, h, p)
+        br = frac_bracket(g, h, p)
         if any(not w.contains(e) for e, _ in br):
             continue
         if base == ALGEBRA and not all(
@@ -112,13 +119,13 @@ def reference_assemble(p, target, alpha, w):
             for t in slice_keys[source]:
                 lab = index[(source, t)]
                 if base == ALGEBRA:
-                    for e, k in bracket_basis(actor, t, p):
+                    for e, k in frac_bracket(actor, t, p):
                         add(e, lab, sign * k)
                 else:
                     a, b = t
-                    for e, k in bracket_basis(actor, a, p):
+                    for e, k in frac_bracket(actor, a, p):
                         add((e, b), lab, sign * k)
-                    for e, k in bracket_basis(actor, b, p):
+                    for e, k in frac_bracket(actor, b, p):
                         add((a, e), lab, sign * k)
         for t in sorted(block):
             expr = {lab: c for lab, c in block[t].items() if c}
@@ -136,11 +143,11 @@ def reference_inner_vectors(p, target, alpha, w, index, gens, center_set):
         vec = {}
         for g in gens:
             if base == ALGEBRA:
-                images = [(e, k) for e, k in bracket_basis(g, v, p)]
+                images = [(e, k) for e, k in frac_bracket(g, v, p)]
             else:
                 a, b = v
-                images = [((e, b), k) for e, k in bracket_basis(g, a, p)]
-                images += [((a, e), k) for e, k in bracket_basis(g, b, p)]
+                images = [((e, b), k) for e, k in frac_bracket(g, a, p)]
+                images += [((a, e), k) for e, k in frac_bracket(g, b, p)]
             for key, k in images:
                 lab = index.get((g, key))
                 if lab is not None:
@@ -203,9 +210,9 @@ def test_bracket_tables_match_literal_formulas(s):
             for a in gens:
                 for b in gens:
                     expected = literal_bracket(a, b, p)
-                    got = bracket_basis(a, b, p)
-                    assert dict(got) == expected, (a, b, p)
-                    assert all(type(k) is Fraction for _, k in got)
+                    got = bracket(Element.basis(a), Element.basis(b), p).terms
+                    assert got == expected, (a, b, p)
+                    assert all(type(k) is Fraction for k in got.values())
                     ints = bracket_int(a, b, p)
                     assert all(type(k) is int for _, k in ints)
                     assert {e: k / p.scale for e, k in ints} == expected

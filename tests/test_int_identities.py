@@ -3,12 +3,13 @@
 The reference keeps the checks the integer structure-constant table
 replaces: an `Element` per generator, `bracket` on every nested product
 and `Fraction` arithmetic on every triple and pair, with the derivation
-identity compared on `bracket` and `tensors.diag_action` values.  Both
+identity compared on `bracket` values, slot by slot on tensors.  Both
 must report the same `checked` and `skipped` counts and the same failure
 and violation lists, witness values included.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from svlie.derivations import (
     is_derivation,
     table_to_json,
 )
-from svlie.tensors import Tensor2, diag_action
+from svlie.tensors import Tensor2
 
 HALF = Fraction(1, 2)
 
@@ -94,9 +95,18 @@ def reference_check_jacobi(p, w, bracket_fn=None):
 
 
 def _act(g, val, p):
-    if isinstance(val, Tensor2):
-        return diag_action(Element.basis(g), val, p)
-    return bracket(Element.basis(g), val, p)
+    """g . val from `bracket` alone: the Leibniz rule on both slots of a
+    Tensor2."""
+    x = Element.basis(g)
+    if not isinstance(val, Tensor2):
+        return bracket(x, val, p)
+    out = {}
+    for (a, b), c in val.items():
+        for e, k in bracket(x, Element.basis(a), p).items():
+            out[e, b] = out.get((e, b), 0) + c * k
+        for e, k in bracket(x, Element.basis(b), p).items():
+            out[a, e] = out.get((a, e), 0) + c * k
+    return Tensor2(out)
 
 
 def _support_in_window(val, w):
@@ -186,6 +196,21 @@ def test_bracket_table_is_shared_per_params():
     assert bracket_table(p)[L(2), M(1)] == ((M(3), 52),)  # (1 + 10/3) * 12
 
 
+def test_lambda_sweep_keeps_few_tables():
+    """check_jacobi over 100 values of lambda in one process.  Only the
+    last few tables stay cached, so the traced peak stays under 1 MB; with
+    every table kept it reaches about 12 MB."""
+    w = Window.symmetric(8)
+    tracemalloc.start()
+    try:
+        for k in range(100):
+            assert check_jacobi(AlgebraParams(0, Fraction(2 * k - 99, 101)), w).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 @pytest.mark.parametrize("s,lam", ROWS)
 def test_jacobi_matches_reference(s, lam):
     for central in (True, False):
@@ -269,7 +294,7 @@ def test_mismatched_case_controls_match_reference():
 
 
 def test_inner_and_raw_tables_match_reference():
-    """inner() against the bracket and diag_action values, and raw tables."""
+    """inner() against the values of _act, and raw tables."""
     w = Window.symmetric(6)
     for s, lam in ROWS:
         for central in (True, False):

@@ -3,7 +3,7 @@
 The reference keeps the construction the graded kernel replaces: one
 unknown per window generator (center) or per ordered pair of window
 generators (invariants, skew image), rows from every in-window generator
-acting through `bracket` and `tensors.diag_action`, and one `RowEchelon`
+acting through `bracket`, slot by slot on pairs, and one `RowEchelon`
 over every slice.  The reports built on either kernel must agree exactly.
 """
 
@@ -30,7 +30,7 @@ from svlie.cohomology import (
     verify_skew_image_lemma,
 )
 from svlie.linalg import RowEchelon, int_row
-from svlie.tensors import Tensor2, diag_action, tensor_of, twist
+from svlie.tensors import Tensor2, tensor_of, twist
 
 HALF = Fraction(1, 2)
 
@@ -74,6 +74,18 @@ def full_center(p, w):
     return [Element(v) for v in kernel_of(rows, gens)]
 
 
+def pair_action(g, key, p):
+    """g . (a (x) b) = [g, a] (x) b + a (x) [g, b], zeros dropped."""
+    a, b = key
+    x = Element.basis(g)
+    out = {}
+    for e, k in bracket(x, Element.basis(a), p).items():
+        out[e, b] = out.get((e, b), 0) + k
+    for e, k in bracket(x, Element.basis(b), p).items():
+        out[a, e] = out.get((a, e), 0) + k
+    return {res: c for res, c in out.items() if c}
+
+
 def full_pair_kernels(p, w):
     """Invariant and symmetric-part kernels over every ordered pair of
     window generators, all degree slices in one system each."""
@@ -81,9 +93,8 @@ def full_pair_kernels(p, w):
     keys = [(a, b) for a in gens for b in gens]
     plain, folded = {}, {}
     for g in gens:
-        x = Element.basis(g)
         for col, key in enumerate(keys):
-            for res, coeff in diag_action(x, Tensor2.basis(*key), p).items():
+            for res, coeff in pair_action(g, key, p).items():
                 add_row_entry(plain, (g, res), col, coeff)
                 add_row_entry(folded, (g, min(res, res[::-1])), col, coeff)
     return kernel_of(plain, keys), kernel_of(folded, keys)

@@ -22,14 +22,13 @@ from svlie import (
     coboundary,
     cyclic,
     diag_action,
-    diag_action3,
     parse_element,
     parse_tensor2,
     skew_part_membership,
     twist,
     ybe_c,
 )
-from svlie.algebra import bracket_basis
+from svlie.algebra import bracket_int
 from svlie.verify import random_tensor
 
 HALF = Fraction(1, 2)
@@ -90,13 +89,13 @@ class TestDiagAction:
     def test_l0_scales_triples(self):
         p = AlgebraParams(0, 2)
         t = Tensor3.basis(L(1), L(2), L(-4))
-        assert diag_action3(Element.basis(L(0)), t, p) == t.scaled(-1)
+        assert diag_action(Element.basis(L(0)), t, p) == t.scaled(-1)
 
     def test_action3_center_and_zero(self):
         p = AlgebraParams(HALF, 0)
         t = Tensor3.basis(L(1), M(0), Y(HALF))
-        assert not diag_action3(parse_element("c"), t, p)
-        assert not diag_action3(Element.basis(L(2)), Tensor3.zero(), p)
+        assert not diag_action(parse_element("c"), t, p)
+        assert not diag_action(Element.basis(L(2)), Tensor3.zero(), p)
 
     @pytest.mark.parametrize("s,lam", [(HALF, Fraction(-1)), (Fraction(0), Fraction(5, 2))])
     def test_module_action_identity(self, s, lam):
@@ -155,15 +154,18 @@ class TestCoboundary:
 def brute_force_ybe(r: Tensor2, p: AlgebraParams) -> Tensor3:
     """Independent oracle: the literal three-sum expansion, written
     directly against the defining formula rather than through ybe_c."""
+    def br(a, b):
+        return [(e, Fraction(k, p.scale)) for e, k in bracket_int(a, b, p)]
+
     total = {}
     terms = list(r.terms.items())
     for (a1, b1), c1 in terms:
         for (a2, b2), c2 in terms:
-            for e, k in bracket_basis(a1, a2, p):
+            for e, k in br(a1, a2):
                 total[(e, b1, b2)] = total.get((e, b1, b2), 0) + c1 * c2 * k
-            for e, k in bracket_basis(b1, a2, p):
+            for e, k in br(b1, a2):
                 total[(a1, e, b2)] = total.get((a1, e, b2), 0) + c1 * c2 * k
-            for e, k in bracket_basis(b1, b2, p):
+            for e, k in br(b1, b2):
                 total[(a1, a2, e)] = total.get((a1, a2, e), 0) + c1 * c2 * k
     return Tensor3(total)
 
