@@ -349,6 +349,15 @@ class BracketTable(dict):
                 for e, k in self[g, key]:
                     out[e] = out.get(e, 0) + c * k
                 continue
+            if len(key) == 2:
+                # unpacked: slicing the key made a pair-key call about a
+                # third slower
+                a, b = key
+                for e, k in self[g, a]:
+                    out[e, b] = out.get((e, b), 0) + c * k
+                for e, k in self[g, b]:
+                    out[a, e] = out.get((a, e), 0) + c * k
+                continue
             for slot, x in enumerate(key):
                 head, tail = key[:slot], key[slot + 1:]
                 for e, k in self[g, x]:

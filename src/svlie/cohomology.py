@@ -18,10 +18,10 @@ from typing import Iterable, Optional, Sequence, Union
 from .algebra import (
     AlgebraParams,
     BasisIndex,
-    BracketTable,
     Element,
     Window,
     action_kernel,
+    bracket_table,
     center_in_window,
     rat,
 )
@@ -66,6 +66,19 @@ _FEEDERS = {
 }
 
 
+# Leibniz rows are emitted only for generator pairs with a side of
+# |doubled degree| <= GENERATING_DD.  If a linear map satisfies the
+# Leibniz rule against a generating set, the elements it holds for form a
+# subalgebra, so it holds everywhere (Farnsteiner, J. Algebra 118, 1988).
+# L[+-1], L[+-2] and the M, Y and c of those degrees generate this family,
+# and on windows the kept rows have the rank of all rows (checked, not
+# assumed; with 2 in place of 4 the rank drops).  The raw tensor-square
+# target keeps every pair: there the truncated rows lose rank, both
+# centerless and central (at (s, lambda) = (0, 1), degree -2, window 6,
+# 774 -> 756).
+GENERATING_DD = 4
+
+
 def _parity_ok(kind: str, dd: int, s2: int) -> bool:
     if kind in ("L", "M"):
         return dd % 2 == 0
@@ -87,7 +100,6 @@ class LinearSystem:
     labels are (generator, target key) pairs in the deterministic pivot
     order; rows are integer coefficient dicts over label ids, each with a
     provenance tag naming the generator pair and result key it encodes.
-    table holds the integer structure constants the rows were built on.
     """
 
     params: AlgebraParams
@@ -101,7 +113,6 @@ class LinearSystem:
     generators: list[BasisIndex]
     slice_keys: dict[BasisIndex, list[TargetKey]]
     center_set: Optional[frozenset]
-    table: dict = field(repr=False, compare=False)
 
     @property
     def n_unknowns(self) -> int:
@@ -136,6 +147,13 @@ def _slice_keys(
     """Window-supported target basis keys of doubled degree dd."""
     if target == ALGEBRA:
         return w.indices_at(dd, p)
+    if center_set is not None:
+        keys = set()
+        for z in center_set:
+            for x in w.indices_at(dd - z.dd, p):
+                keys.add((z, x))
+                keys.add((x, z))
+        return sorted(keys)
     keys = []
     for dd1 in range(w.lo, w.hi + 1):
         dd2 = dd - dd1
@@ -143,8 +161,6 @@ def _slice_keys(
             continue
         for i in w.indices_at(dd1, p):
             for j in w.indices_at(dd2, p):
-                if center_set is not None and i not in center_set and j not in center_set:
-                    continue
                 keys.append((i, j))
     keys.sort()
     return keys
@@ -176,7 +192,9 @@ def assemble(
     Unknowns are the coefficients of D(g) over the window-supported
     target basis in degree deg(g) + alpha, for every window generator g.
     One equation block is emitted per generator pair, filtered down to the
-    rows whose coefficients all live inside the window.
+    rows whose coefficients all live inside the window.  Except on the raw
+    tensor-square target, only the pairs with a side of |doubled degree|
+    <= GENERATING_DD are kept: the same row space, with fewer rows.
     """
     if target not in (ALGEBRA, TENSOR, CENTER_TENSOR):
         raise ValueError(f"unknown target {target!r}")
@@ -221,9 +239,7 @@ def assemble(
                         return False
         return True
 
-    # a table per system, not bracket_table(p): the shared one would keep
-    # every system's entries alive
-    table = BracketTable(p)
+    table = bracket_table(p)
     rows: list[dict[int, int]] = []
     provenance: list[tuple[BasisIndex, BasisIndex, TargetKey]] = []
 
@@ -236,10 +252,12 @@ def assemble(
             h,
         )
 
+    bound = None if target == TENSOR else GENERATING_DD
     pairs = []
     for i, g in enumerate(gens):
         for h in gens[i + 1 :]:
-            pairs.append((g, h))
+            if bound is None or min(abs(g.dd), abs(h.dd)) <= bound:
+                pairs.append((g, h))
     pairs.sort(key=pair_sort_key)
 
     for g, h in pairs:
@@ -291,7 +309,7 @@ def assemble(
 
     return LinearSystem(
         p, target, alpha, w, labels, index, rows, provenance, gens, slice_keys,
-        center_set, table,
+        center_set,
     )
 
 
@@ -302,7 +320,7 @@ def inner_vectors(system: LinearSystem) -> list[dict[int, Fraction]]:
     shift = int(system.alpha * 2)
     base = TENSOR if system.target == CENTER_TENSOR else system.target
     vs = _slice_keys(p, base, system.window, shift, system.center_set)
-    table = system.table
+    table = bracket_table(p)
     out = []
     for v in vs:
         vec: dict[int, int] = {}

@@ -222,8 +222,11 @@ def check_mybe(r: Tensor2, p: AlgebraParams, w: Window) -> bool:
 def _one_otimes_cobracket(t: Tensor2, r: Tensor2, p: AlgebraParams) -> Tensor3:
     """Apply the cobracket to the second slot of a two-tensor."""
     out: dict[Triple, Fraction] = {}
+    cobracket: dict[BasisIndex, Tensor2] = {}
     for (i, j), c in t.terms.items():
-        inner = coboundary(r, Element.basis(j), p)
+        inner = cobracket.get(j)
+        if inner is None:
+            inner = cobracket[j] = coboundary(r, Element.basis(j), p)
         for (u, v), cu in inner.terms.items():
             key = (i, u, v)
             new = out.get(key, 0) + c * cu

@@ -2,10 +2,13 @@
 
 The reference keeps the assembly the integer table replaces: every
 coefficient read from `bracket_int` as a `Fraction` over `p.scale`, equation rows
-summed in `Fraction`s and cleared by `int_row`, and the window center
-computed again for the inner vectors.  The systems built on either path
-must agree exactly: labels, rows, provenance, index, slice keys and the
-inner vectors.
+summed in `Fraction`s and cleared by `int_row`, target keys enumerated by
+a scan over degree pairs, and the window center computed again for the
+inner vectors.  The systems built on either path must agree exactly:
+labels, rows, provenance, index, slice keys and the inner vectors.
+
+The generating-set tests compare the rows `assemble` keeps with every
+pair's rows, obtained by raising `GENERATING_DD` to the window bound.
 """
 
 from fractions import Fraction
@@ -21,18 +24,20 @@ from svlie.algebra import (
     bracket,
     bracket_int,
 )
+from svlie import cohomology
 from svlie.cohomology import (
     _FEEDERS,
+    CASE_ROWS,
     CENTER_TENSOR,
     _center_index_set,
     _gen_order,
     _parity_ok,
-    _slice_keys,
     assemble,
     inner_vectors,
+    solve_h1,
 )
 from svlie.derivations import ALGEBRA, TENSOR
-from svlie.linalg import int_row
+from svlie.linalg import RowEchelon, int_row
 
 HALF = Fraction(1, 2)
 
@@ -64,14 +69,32 @@ def frac_bracket(a, b, p):
     return [(e, Fraction(k, p.scale)) for e, k in bracket_int(a, b, p)]
 
 
+def reference_slice_keys(p, base, w, dd, center_set):
+    """Window target keys of doubled degree dd: every pair of degrees
+    scanned, center-legged keys kept when center_set is given."""
+    if base == ALGEBRA:
+        return w.indices_at(dd, p)
+    keys = []
+    for dd1 in range(w.lo, w.hi + 1):
+        for i in w.indices_at(dd1, p):
+            for j in w.indices_at(dd - dd1, p):
+                if center_set is None or i in center_set or j in center_set:
+                    keys.append((i, j))
+    return sorted(keys)
+
+
 def reference_assemble(p, target, alpha, w):
     """The Fraction assembly: (labels, index, rows, provenance, gens,
-    slice_keys, center_set)."""
+    slice_keys, center_set).  Only the raw tensor-square target keeps
+    every generator pair; the others keep the pairs with a side of
+    |doubled degree| <= 4."""
     shift = int(alpha * 2)
     center_set = _center_index_set(p, w) if target == CENTER_TENSOR else None
     base = TENSOR if target == CENTER_TENSOR else target
     gens = sorted(w.basis_indices(p), key=_gen_order)
-    slice_keys = {g: _slice_keys(p, base, w, g.dd + shift, center_set) for g in gens}
+    slice_keys = {
+        g: reference_slice_keys(p, base, w, g.dd + shift, center_set) for g in gens
+    }
     labels = [(g, t) for g in gens for t in slice_keys[g]]
     index = {lab: i for i, lab in enumerate(labels)}
 
@@ -93,7 +116,10 @@ def reference_assemble(p, target, alpha, w):
                         return False
         return True
 
-    pairs = [(g, h) for i, g in enumerate(gens) for h in gens[i + 1:]]
+    pairs = [
+        (g, h) for i, g in enumerate(gens) for h in gens[i + 1:]
+        if target == TENSOR or min(abs(g.dd), abs(h.dd)) <= 4
+    ]
     pairs.sort(key=lambda gh: (
         max(abs(gh[0].dd), abs(gh[1].dd)), abs(gh[0].dd) + abs(gh[1].dd), gh[0], gh[1]
     ))
@@ -139,7 +165,7 @@ def reference_assemble(p, target, alpha, w):
 def reference_inner_vectors(p, target, alpha, w, index, gens, center_set):
     base = TENSOR if target == CENTER_TENSOR else target
     out = []
-    for v in _slice_keys(p, base, w, int(alpha * 2), center_set):
+    for v in reference_slice_keys(p, base, w, int(alpha * 2), center_set):
         vec = {}
         for g in gens:
             if base == ALGEBRA:
@@ -180,6 +206,85 @@ def test_assemble_matches_fraction_reference(s, lam):
                     assert inner_vectors(system) == reference_inner_vectors(
                         p, target, alpha, w, index, gens, center
                     ), case
+
+
+def _rank(rows):
+    ech = RowEchelon()
+    for row in rows:
+        ech.insert(row)
+    return ech.rank
+
+
+def _is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(any(x == y for y in rest) for x in part)
+
+
+GENERATING_ROWS = list(CASE_ROWS) + [
+    (HALF, Fraction(0)),
+    (Fraction(0), Fraction(-3)),
+    (Fraction(0), Fraction(-5, 3)),
+    (Fraction(0), Fraction(7, 1000000007)),
+]
+GENERATING_CASES = [(Fraction(0), n) for n in (8, 12, 16)] + [
+    (alpha, 8) for alpha in (HALF, -HALF, Fraction(2), Fraction(-2))
+]
+
+
+@pytest.mark.parametrize(
+    "s,lam", GENERATING_ROWS, ids=[f"{s}:{lam}" for s, lam in GENERATING_ROWS]
+)
+def test_generating_set_rows_span_every_pair(s, lam, monkeypatch):
+    """The kept rows are an order-preserving subsequence of every pair's
+    rows with the same rank, and solve_h1 reports the same apart from
+    the row count."""
+    for central in (True, False):
+        p = AlgebraParams(s, lam, central)
+        for alpha, n in GENERATING_CASES:
+            w = Window.symmetric(n)
+            for target, solve_target in ((ALGEBRA, ALGEBRA), (CENTER_TENSOR, TENSOR)):
+                case = (p, target, alpha, n)
+                kept = assemble(p, target, alpha, w)
+                with monkeypatch.context() as m:
+                    m.setattr(cohomology, "GENERATING_DD", n)
+                    full = assemble(p, target, alpha, w)
+                assert _is_subsequence(
+                    list(zip(kept.provenance, kept.rows)),
+                    zip(full.provenance, full.rows),
+                ), case
+                assert kept.labels == full.labels, case
+                assert _rank(kept.rows) == _rank(full.rows), case
+                got = solve_h1(p, solve_target, alpha, w, system=kept).as_dict()
+                want = solve_h1(p, solve_target, alpha, w, system=full).as_dict()
+                assert got.pop("rows") == len(kept.rows), case
+                want.pop("rows")
+                assert got == want, case
+
+
+def test_raw_tensor_square_keeps_every_pair(monkeypatch):
+    """On the raw tensor-square target the generating-set rows lose rank,
+    so that target is not filtered."""
+    p = AlgebraParams(0, 1, central=False)
+    w = Window.symmetric(6)
+    system = assemble(p, TENSOR, -2, w)
+    with monkeypatch.context() as m:
+        m.setattr(cohomology, "GENERATING_DD", 0)
+        assert assemble(p, TENSOR, -2, w).provenance == system.provenance
+    kept = [
+        row for row, (g, h, _) in zip(system.rows, system.provenance)
+        if min(abs(g.dd), abs(h.dd)) <= 4
+    ]
+    assert len(kept) < len(system.rows)
+    assert _rank(system.rows) == 774
+    assert _rank(kept) == 756
+
+
+def test_window_64_tensor_square_solve():
+    report = solve_h1(AlgebraParams(0, 0), TENSOR, 0, Window.symmetric(64))
+    assert report.n_rows == 28058
+    assert report.n_unknowns == 2352
+    assert (report.dim_der, report.dim_inn, report.dim_h1) == (20, 8, 12)
+    assert report.certified
 
 
 def literal_bracket(a, b, p):

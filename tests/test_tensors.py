@@ -237,6 +237,17 @@ class TestIdentities:
         for g in Window.symmetric(8).basis_indices(p):
             assert check_cojacobi_identity(NEG_R, Element.basis(g), p)
 
+    def test_cojacobi_balance_when_legs_repeat(self):
+        # terms of r share left and right legs, so the nested cobracket
+        # meets the same generator in several terms
+        p = AlgebraParams(0, 5)
+        t = parse_tensor2(
+            "L[0] (x) L[1] + 2 * L[0] (x) M[2] + M[1] (x) L[1] - L[2] (x) M[-1]"
+        )
+        r = t - twist(t)
+        for g in Window.symmetric(4).basis_indices(p):
+            assert check_cojacobi_identity(r, Element.basis(g), p)
+
     def test_cojacobi_zero_r(self):
         p = AlgebraParams(0, 0)
         assert check_cojacobi_identity(Tensor2.zero(), Element.basis(L(3)), p)
