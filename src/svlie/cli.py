@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails
-(a witness is printed), 2 on unknown commands or malformed input.  JSON
-reports are versioned with a ``schema`` field and are byte-identical for
-identical configurations.
+(a witness is printed), 2 on unknown commands, malformed input or an
+unreadable input file.  JSON reports are versioned with a ``schema``
+field and are byte-identical for identical configurations.
 """
 
 from __future__ import annotations
@@ -110,11 +110,21 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
     )
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; a missing, unreadable or undecodable file
+    is a usage error."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot decode {path!r}: {exc}") from None
+
+
 def _load_r(cfg: JobConfig):
     if not cfg.r_path:
         raise UsageError("this command needs an r-matrix file (--r FILE)")
-    text = Path(cfg.r_path).read_text()
-    r = parse_tensor2(text)
+    r = parse_tensor2(_read_input(cfg.r_path))
     if not skew_part_membership(r):
         print("warning: r is not skew (not in the image of 1 - twist)", file=sys.stderr)
     return r
@@ -244,7 +254,14 @@ def _cmd_cojacobi(cfg: JobConfig) -> int:
 def _cmd_check_derivation(cfg: JobConfig) -> int:
     if not cfg.derivation_path:
         raise UsageError("check-derivation needs --derivation FILE")
-    table = table_from_json(Path(cfg.derivation_path).read_text())
+    text = _read_input(cfg.derivation_path)
+    try:
+        table = table_from_json(text)
+    except (LiteralError, InvalidIndexError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise UsageError(f"malformed derivation table {cfg.derivation_path!r}: {reason}") from None
     rep = is_derivation(table, cfg.params)
     human = (
         f"derivation check: {'pass' if rep.ok else 'FAIL'} "
@@ -460,9 +477,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = _config_from_args(args)
         return _HANDLERS[args.command](cfg)
     except (UsageError, LiteralError, InvalidIndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

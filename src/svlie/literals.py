@@ -10,15 +10,21 @@ Grammar (bit-exact with the canonical printers):
 
 Tensor terms replace gen with ``gen (x) gen``; r-matrix files carry one
 signed tensor term per line, with blank lines and '#' comments ignored.
-Every rejection carries a 1-based line/column diagnostic.  Y-parity
-against s is not checked here; the consuming operation validates it.
+Digits are ASCII only.  Spaces and tabs may stand around signs, '*' and
+'(x)', and after '[' and '/', nowhere else inside a term.
+
+Each signed term is one match of a compiled pattern.  Only a rejected
+term is walked again, one piece at a time, to find its 1-based
+line/column diagnostic.  Y-parity against s is not checked here; the
+consuming operation validates it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NoReturn, Union
 
 from .algebra import BasisIndex, C, Element
 from .tensors import Tensor2
@@ -43,159 +49,117 @@ class LiteralError(ValueError):
         self.diagnostic = diagnostic
 
 
-class _Scanner:
-    """Character scanner with 1-based positions."""
+# Groups: sign, coefficient numerator and denominator, then kind, index and
+# index denominator per generator (all None for 'c').  Trailing blanks are
+# consumed, so a literal ends where a match ends at len(text).  No two
+# blank runs may meet: a failed match would try every split of a long
+# run between them, cubic in its length.
+_GEN = r"(?:c|([LMY])\[[ \t]*(-?[0-9]+)(?:/[ \t]*(-?[0-9]+))?\])"
+_SIGNED = r"[ \t]*(?:([-+])[ \t]*)?(?:(-?[0-9]+)(?:/[ \t]*(0*[1-9][0-9]*))?[ \t]*\*[ \t]*)?" + _GEN
+_ELEMENT_TERM = re.compile(_SIGNED + r"[ \t]*")
+_TENSOR_TERM = re.compile(_SIGNED + r"[ \t]*\(x\)[ \t]*" + _GEN + r"[ \t]*")
+_BLANKS = re.compile(r"[ \t]*")
 
-    def __init__(self, text: str, line: int = 1) -> None:
-        self.text = text
-        self.pos = 0
-        self.line = line
 
-    def fail(self, message: str, at: Optional[int] = None) -> LiteralError:
-        at = self.pos if at is None else at
-        token = self.text[at : at + 8] or "<end>"
-        return LiteralError(ParseDiagnostic(self.line, at + 1, message, token))
+def _key(kind, num, den) -> BasisIndex:
+    """The basis key of one generator's groups; ValueError if invalid."""
+    if kind is None:
+        return C
+    if den is None:
+        return BasisIndex(kind, 2 * int(num))
+    if kind != "Y" or int(den) != 2:
+        raise ValueError("not a Y half-integer index")
+    return BasisIndex(kind, int(num))
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _terms(text: str, line: int, tensor: bool) -> dict:
+    """The signed terms of one non-blank literal, one pattern match each."""
+    pattern = _TENSOR_TERM if tensor else _ELEMENT_TERM
+    terms: dict = {}
+    pos, end = 0, len(text)
+    while pos < end:
+        m = pattern.match(text, pos)
+        if m is None or (pos and not m[1]):  # every term after the first is signed
+            _diagnose(text, pos, line, tensor)
+        g = m.groups()
+        try:  # int() raises ValueError on digit runs longer than Python allows
+            num = 1 if g[1] is None else int(g[1])
+            if g[0] == "-":
+                num = -num
+            coeff = num if g[2] is None else Fraction(num, int(g[2]))
+            key = (_key(*g[3:6]), _key(*g[6:])) if tensor else _key(*g[3:])
+        except ValueError:
+            _diagnose(text, pos, line, tensor)
+        terms[key] = terms[key] + coeff if key in terms else coeff
+        pos = m.end()
+    return terms
 
-    def eat(self, literal: str) -> bool:
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
 
-    def expect(self, literal: str, what: str) -> None:
-        if not self.eat(literal):
-            raise self.fail(f"expected {what}")
+def _diagnose(text: str, pos: int, line: int, tensor: bool) -> NoReturn:
+    """Walk the rejected term at ``pos`` again, one piece at a time, and
+    raise the diagnostic of the first piece that does not fit."""
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def fail(message: str, at: int) -> NoReturn:
+        token = text[at : at + 8] or "<end>"
+        raise LiteralError(ParseDiagnostic(line, at + 1, message, token))
 
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            raise self.fail("expected an integer", start)
-        return int(self.text[start : self.pos])
+    def take(pattern: str, message: str = "", blanks: bool = True):
+        nonlocal pos
+        if blanks:
+            pos = _BLANKS.match(text, pos).end()
+        m = re.compile(pattern).match(text, pos)
+        if m is None:
+            if message:
+                fail(message, pos)
+            return None
+        pos = m.end()
+        return m
 
-    def rational(self) -> Fraction:
-        num = self.integer()
-        if self.peek() == "/":
-            self.pos += 1
-            den_at = self.pos
-            den = self.integer()
-            if den <= 0:
-                raise self.fail("denominator must be positive", den_at)
-            return Fraction(num, den)
-        return Fraction(num)
+    def integer() -> int:
+        m = take(r"-?[0-9]+", "expected an integer")
+        try:
+            return int(m[0])
+        except ValueError:
+            fail("integer has too many digits", m.start())
 
-    def generator(self) -> BasisIndex:
-        self.skip_ws()
-        start = self.pos
-        ch = self.peek()
-        if ch == "c":
-            self.pos += 1
-            return C
-        if ch not in ("L", "M", "Y"):
-            raise self.fail("expected a generator (L[..], M[..], Y[..] or c)", start)
-        kind = ch
-        self.pos += 1
-        self.expect("[", "'[' after generator kind")
-        num = self.integer()
-        if self.peek() == "/":
-            self.pos += 1
-            den_at = self.pos
-            den = self.integer()
-            if den != 2:
-                raise self.fail("only integers and halves are allowed", den_at)
+    def generator() -> None:
+        if take("c"):
+            return
+        kind = take("[LMY]", "expected a generator (L[..], M[..], Y[..] or c)")[0]
+        take(r"\[", "expected '[' after generator kind", blanks=False)
+        integer()
+        if take("/", blanks=False):
+            den_at = pos
+            if integer() != 2:
+                fail("only integers and halves are allowed", den_at)
             if kind != "Y":
-                raise self.fail(f"{kind} takes an integer degree", den_at)
-            dd = num
-        else:
-            dd = 2 * num
-        self.expect("]", "']' closing the generator index")
-        return BasisIndex(kind, dd)
+                fail(f"{kind} takes an integer degree", den_at)
+        take(r"\]", "expected ']' closing the generator index", blanks=False)
 
-    def coeff_then(self) -> Fraction:
-        """Optional 'coeff *' prefix; returns 1 when absent."""
-        self.skip_ws()
-        if self.peek().isdigit() or (
-            self.peek() == "-" and self._digit_follows(self.pos + 1)
-        ):
-            save = self.pos
-            value = self.rational()
-            self.skip_ws()
-            if self.eat("*"):
-                return value
-            self.pos = save
-            raise self.fail("expected '*' between coefficient and generator", save)
-        return Fraction(1)
-
-    def _digit_follows(self, at: int) -> bool:
-        while at < len(self.text) and self.text[at] in " \t":
-            at += 1
-        return at < len(self.text) and self.text[at].isdigit()
-
-
-def _parse_signed_terms(sc: _Scanner, term_fn) -> list:
-    """term (('+'|'-') term)* with an optional leading sign."""
-    out = []
-    sc.skip_ws()
-    sign = Fraction(1)
-    if sc.eat("-"):
-        sign = Fraction(-1)
-    elif sc.eat("+"):
-        pass
-    out.append(term_fn(sc, sign))
-    while not sc.at_end():
-        sc.skip_ws()
-        if sc.eat("+"):
-            sign = Fraction(1)
-        elif sc.eat("-"):
-            sign = Fraction(-1)
-        else:
-            raise sc.fail("expected '+' or '-' between terms")
-        out.append(term_fn(sc, sign))
-    return out
-
-
-def _element_term(sc: _Scanner, sign: Fraction) -> tuple[BasisIndex, Fraction]:
-    coeff = sc.coeff_then()
-    gen = sc.generator()
-    return gen, sign * coeff
-
-
-def _tensor_term(sc: _Scanner, sign: Fraction):
-    coeff = sc.coeff_then()
-    left = sc.generator()
-    sc.skip_ws()
-    sc.expect("(x)", "'(x)' between the tensor slots")
-    right = sc.generator()
-    return (left, right), sign * coeff
+    take("[-+]" if pos else "[-+]?", "expected '+' or '-' between terms")
+    if take(r"(?=-?[ \t]*[0-9])"):  # a digit, or '-' then a digit: a coefficient
+        start = pos
+        integer()
+        if take("/", blanks=False):
+            den_at = pos
+            if integer() <= 0:
+                fail("denominator must be positive", den_at)
+        if not take(r"\*"):
+            fail("expected '*' between coefficient and generator", start)
+    generator()
+    if tensor:
+        take(r"\(x\)", "expected '(x)' between the tensor slots")
+        generator()
+    raise AssertionError(f"term at column {pos + 1} of {text!r} fits but did not match")
 
 
 def parse_element(text: str, line: int = 1) -> Element:
     """Parse an element literal; canonical print/parse round-trips."""
-    sc = _Scanner(text, line)
-    if sc.at_end():
-        raise sc.fail("empty element literal")
-    if sc.text.strip() == "0":
+    if not text.strip(" \t"):
+        raise LiteralError(ParseDiagnostic(line, len(text) + 1, "empty element literal", "<end>"))
+    if text.strip() == "0":
         return Element.zero()
-    terms: dict[BasisIndex, Fraction] = {}
-    for gen, coeff in _parse_signed_terms(sc, _element_term):
-        terms[gen] = terms.get(gen, Fraction(0)) + coeff
-    return Element(terms)
+    return Element(_terms(text, line, tensor=False))
 
 
 def parse_tensor2(source: Union[str, Iterable[str]]) -> Tensor2:
@@ -215,13 +179,11 @@ def parse_tensor2(source: Union[str, Iterable[str]]) -> Tensor2:
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped.strip():
             continue
-        if stripped.strip() == "0":
-            parsed_any = True
-            continue
-        sc = _Scanner(stripped, lineno)
-        for key, coeff in _parse_signed_terms(sc, _tensor_term):
-            terms[key] = terms.get(key, Fraction(0)) + coeff
         parsed_any = True
+        if stripped.strip() == "0":
+            continue
+        for key, coeff in _terms(stripped, lineno, tensor=True).items():
+            terms[key] = terms[key] + coeff if key in terms else coeff
     if not parsed_any:
         raise LiteralError(
             ParseDiagnostic(1, 1, "no tensor terms found", "<empty>")

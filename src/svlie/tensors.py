@@ -9,6 +9,7 @@ identity checks all live here.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .algebra import (
@@ -219,22 +220,13 @@ def check_mybe(r: Tensor2, p: AlgebraParams, w: Window) -> bool:
     return True
 
 
-def _one_otimes_cobracket(t: Tensor2, r: Tensor2, p: AlgebraParams) -> Tensor3:
-    """Apply the cobracket to the second slot of a two-tensor."""
-    out: dict[Triple, Fraction] = {}
-    cobracket: dict[BasisIndex, Tensor2] = {}
-    for (i, j), c in t.terms.items():
-        inner = cobracket.get(j)
-        if inner is None:
-            inner = cobracket[j] = coboundary(r, Element.basis(j), p)
-        for (u, v), cu in inner.terms.items():
-            key = (i, u, v)
-            new = out.get(key, 0) + c * cu
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return Tensor3(out)
+@lru_cache(maxsize=1)
+def _cobracket_memo(r: Tensor2, p: AlgebraParams) -> tuple[Tensor3, dict]:
+    """ybe_c(r, p) and a memo of the generator cobrackets of r, shared by
+    the co-Jacobi checks of one (r, p).  Callers check one r over a run of
+    generators, so only the last pair is kept: each held pair keeps tens of
+    kilobytes alive."""
+    return ybe_c(r, p), {}
 
 
 def check_cojacobi_identity(r: Tensor2, x: Element, p: AlgebraParams) -> bool:
@@ -245,11 +237,26 @@ def check_cojacobi_identity(r: Tensor2, x: Element, p: AlgebraParams) -> bool:
     obstruction.  This holds identically; a False return indicates an
     implementation bug rather than a property of r.
     """
-    first = coboundary(r, x, p)
-    nested = _one_otimes_cobracket(first, r, p)
-    lhs = nested + cyclic(nested) + cyclic(cyclic(nested))
-    rhs = diag_action(x, ybe_c(r, p), p)
-    return lhs == rhs
+    obstruction, memo = _cobracket_memo(r, p)
+
+    def cobracket(g: BasisIndex) -> Tensor2:
+        t = memo.get(g)
+        if t is None:
+            t = memo[g] = coboundary(r, Element.basis(g), p)
+        return t
+
+    first: dict = {}
+    for g, c in x.terms.items():
+        for key, cu in cobracket(g).terms.items():
+            first[key] = first.get(key, 0) + c * cu
+    # 1 (x) cobracket, applied to the second slot of the cobracket of x
+    nested: dict[Triple, Fraction] = {}
+    for (i, j), c in first.items():
+        for (u, v), cu in cobracket(j).terms.items():
+            nested[i, u, v] = nested.get((i, u, v), 0) + c * cu
+    lhs = Tensor3(nested)
+    lhs = lhs + cyclic(lhs) + cyclic(cyclic(lhs))
+    return lhs == diag_action(x, obstruction, p)
 
 
 def check_compatibility(r: Tensor2, x: Element, y: Element, p: AlgebraParams) -> bool:

@@ -147,12 +147,11 @@ def criterion_cybe_cojacobi(bound: int = 8) -> CriterionResult:
             (bool(ybe_c(r_neg, p)), f"negative-control r' has zero obstruction under {p.describe()}")
         )
         w = Window.symmetric(bound)
-        for g in w.basis_indices(p):
-            x = Element.basis(g)
-            for rr, tag in ((r, "r"), (r_neg, "r'")):
+        for rr, tag in ((r, "r"), (r_neg, "r'")):
+            for g in w.basis_indices(p):
                 checks.append(
                     (
-                        check_cojacobi_identity(rr, x, p),
+                        check_cojacobi_identity(rr, Element.basis(g), p),
                         f"co-Jacobi balance broken for {tag} at {g.label()} under {p.describe()}",
                     )
                 )

@@ -123,10 +123,22 @@ class TestCheckCommands:
         assert "M[0]" in out and "c" in out
 
     def test_missing_r_file(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "cybe", "--s", "0", "--lambda", "5", "--r", str(tmp_path / "nope.r")
-        )
+        path = tmp_path / "nope.r"
+        code, _, err = run_cli(capsys, "cybe", "--s", "0", "--lambda", "5", "--r", str(path))
         assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+    def test_r_file_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "cybe", "--s", "0", "--lambda", "5", "--r", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_r_file_not_text(self, capsys, tmp_path):
+        path = tmp_path / "bytes.r"
+        path.write_bytes(b"\xff\xfe1 * L[0] (x) L[1]\n")
+        code, _, err = run_cli(capsys, "cybe", "--s", "0", "--lambda", "5", "--r", str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot decode '{path}': ")
 
     def test_window_guard(self, capsys):
         code, _, err = run_cli(
@@ -189,6 +201,60 @@ class TestDerivationCommand:
             "--derivation", str(path),
         )
         assert code == 1 and "witness" in out
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ('{"target": "algebra", ', "Expecting"),
+            ('{"degree": "0", "window": [-4, 4], "values": []}', "missing key 'target'"),
+            ('{"target": "algebra", "window": 4, "values": []}', "cannot unpack"),
+        ],
+    )
+    def test_malformed_table(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "table.json"
+        path.write_text(content)
+        code, out, err = run_cli(
+            capsys, "check-derivation", "--s", "0", "--lambda", "-2",
+            "--derivation", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: malformed derivation table '{path}': ")
+        assert reason in err
+
+    def test_table_literal_error_keeps_its_diagnostic(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(
+            '{"target": "algebra", "degree": "0", "window": [-4, 4],'
+            ' "values": [{"gen": "L[1]", "value": "2 M[1]"}]}'
+        )
+        code, _, err = run_cli(
+            capsys, "check-derivation", "--s", "0", "--lambda", "-2",
+            "--derivation", str(path),
+        )
+        assert code == 2
+        assert err == (
+            "error: line 1, column 1: expected '*' between coefficient and "
+            "generator (at '2 M[1]')\n"
+        )
+
+
+class TestLiteralDigits:
+    def test_superscript_digit_is_a_diagnostic(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bracket", "--s", "0", "--lambda", "0", "²*L[0]", "L[1]"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: line 1, column 1: expected a generator "
+            "(L[..], M[..], Y[..] or c) (at '²*L[0]')\n"
+        )
+
+    def test_overlong_coefficient_is_a_diagnostic(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bracket", "--s", "0", "--lambda", "0", "1" * 5000 + "*L[0]", "L[1]"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: line 1, column 1: integer has too many digits (at '11111111')\n"
 
 
 class TestH1Command:

@@ -1,6 +1,7 @@
 """Element and r-matrix literal parsing, printing and diagnostics."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,39 @@ class TestParseElement:
     def test_empty_input(self):
         with pytest.raises(LiteralError):
             parse_element("   ")
+
+    def test_only_ascii_digits(self):
+        # str.isdigit() accepts these; int() parsed '٣' as 3 and crashed on '²'
+        for text, column in (("L[٣]", 3), ("٣*L[0]", 1), ("²*L[0]", 1), ("3²*L[0]", 1)):
+            with pytest.raises(LiteralError) as exc:
+                parse_element(text)
+            assert exc.value.diagnostic.column == column
+
+    def test_overlong_integers_rejected(self):
+        for text, column in (
+            ("1" * 5000 + "*L[0]", 1),
+            ("L[1] - 1/" + "7" * 5000 + "*c", 10),
+            ("Y[ -" + "3" * 5000 + "/2]", 4),
+        ):
+            with pytest.raises(LiteralError) as exc:
+                parse_element(text)
+            diag = exc.value.diagnostic
+            assert (diag.column, diag.message) == (column, "integer has too many digits")
+
+    def test_blanks_where_allowed(self):
+        assert parse_element(" - 3/ 2 * L[ -1] + Y[ 1/ 2] ") == parse_element("-3/2*L[-1] + Y[1/2]")
+
+    def test_long_blank_runs_parse_in_linear_time(self):
+        # a pattern with two adjacent blank runs backtracks cubically here
+        blanks = " " * 20000
+        start = time.perf_counter()
+        for text in (blanks + "x", "L[0] +" + blanks + "x", "- " + blanks + "3 *" + blanks + "x"):
+            with pytest.raises(LiteralError):
+                parse_element(text)
+        with pytest.raises(LiteralError):
+            parse_tensor2("L[0]" + blanks + "(x)" + blanks + "x")
+        assert parse_element(blanks + "-" + blanks + "L[1]" + blanks) == -Element.basis(L(1))
+        assert time.perf_counter() - start < 2.0
 
     def test_unknown_generator(self):
         with pytest.raises(LiteralError):

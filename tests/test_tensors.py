@@ -29,6 +29,7 @@ from svlie import (
     ybe_c,
 )
 from svlie.algebra import bracket_int
+from svlie.tensors import _cobracket_memo
 from svlie.verify import random_tensor
 
 HALF = Fraction(1, 2)
@@ -247,6 +248,26 @@ class TestIdentities:
         r = t - twist(t)
         for g in Window.symmetric(4).basis_indices(p):
             assert check_cojacobi_identity(r, Element.basis(g), p)
+
+    def test_cojacobi_reuse_is_keyed_by_r_and_params(self):
+        # the obstruction and cobrackets kept between calls belong to one
+        # (r, p): r's with shared legs, and several r at the same p, must
+        # not see each other's entries
+        p, q = AlgebraParams(0, 5), AlgebraParams(HALF, -1)
+        t = parse_tensor2(
+            "L[0] (x) L[1] + 2 * L[0] (x) M[2] + M[1] (x) L[1] - L[2] (x) M[-1]"
+        )
+        cases = ((t - twist(t), p), (NEG_R, p), (WITT_R, p), (t - twist(t), q))
+        x = parse_element("2*L[1] - M[0] + 1/3*c")
+        for r, params in cases:
+            for g in Window.symmetric(4).basis_indices(params):
+                assert check_cojacobi_identity(r, Element.basis(g), params)
+            assert check_cojacobi_identity(r, x, params)
+            obstruction, memo = _cobracket_memo(r, params)
+            assert obstruction == ybe_c(r, params)
+            assert memo
+            for g, cob in memo.items():
+                assert cob == coboundary(r, Element.basis(g), params)
 
     def test_cojacobi_zero_r(self):
         p = AlgebraParams(0, 0)
