@@ -458,6 +458,21 @@ class Window:
         return sorted(out)
 
 
+# Leibniz rows (cohomology.assemble) and actors (action_kernel,
+# tensors.check_mybe) come from the generators of |doubled degree| <=
+# GENERATING_DD, which generate every window generator on their side of
+# degree 0 (README, "Degree grading of the action kernels").  The elements
+# that kill a finite tensor form a subalgebra, since the action on it is
+# never truncated, so the action kernels are exact.  If a linear map
+# satisfies the Leibniz rule against a generating set, it does everywhere
+# (Farnsteiner, J. Algebra 118, 1988); on windows the kept rows have the
+# rank of all rows (checked, not assumed; with 2 in place of 4 the rank
+# drops).  The raw tensor-square target keeps every pair: there the
+# truncated rows lose rank (at (s, lambda) = (0, 1), degree -2, window 6,
+# 774 -> 756 centerless).
+GENERATING_DD = 4
+
+
 # ---------------------------------------------------------------------------
 # Structural checks
 # ---------------------------------------------------------------------------
@@ -527,10 +542,11 @@ def action_kernel(
     total doubled degree 0, as one {key: coefficient} dict per free column.
 
     Keys are basis indices for arity 1 and ordered index pairs for arity 2.
-    Every in-window generator acts, and products are compared to zero
-    wherever they land.  With symmetric set, only the symmetric part of
-    each product must vanish (the pair keys of a product are folded onto
-    their sorted form).
+    The window generators of |doubled degree| <= GENERATING_DD act, and
+    products are compared to zero wherever they land, so what they kill is
+    killed by the brackets they generate: every window generator.  With
+    symmetric set, only the symmetric part of each product must vanish
+    (the pair keys of a product are folded onto their sorted form).
 
     Only the degree-0 slice is built, which is exact: L[0] is in every
     window and acts on a key of total degree d as multiplication by d, so
@@ -551,7 +567,7 @@ def action_kernel(
     else:
         raise ValueError("arity must be 1 or 2")
     rows: dict[tuple, dict[int, int]] = {}
-    for g in gens:
+    for g in (g for g in gens if abs(g.dd) <= GENERATING_DD):
         for col, key in enumerate(keys):
             # BracketTable.act written out: a call per key made the
             # kernels benchmark about 30% slower
@@ -577,6 +593,6 @@ def action_kernel(
 
 def center_in_window(p: AlgebraParams, w: Window) -> list[Element]:
     """Basis of the window-supported vectors killed by every in-window
-    generator: the arity-1 action kernel.  The center lies in degree 0,
-    because L[0] acts on a generator of degree d as multiplication by d."""
+    generator: the arity-1 action kernel, where the generating set acts.
+    It lies in degree 0: L[0] acts on degree d as multiplication by d."""
     return [Element(vec) for vec in action_kernel(p, w, 1)]

@@ -16,6 +16,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import (
+    GENERATING_DD,
     AlgebraParams,
     BasisIndex,
     Element,
@@ -64,19 +65,6 @@ _FEEDERS = {
     ("Y", "Y"): ("L",),
     ("Y", "M"): ("Y",),
 }
-
-
-# Leibniz rows are emitted only for generator pairs with a side of
-# |doubled degree| <= GENERATING_DD.  If a linear map satisfies the
-# Leibniz rule against a generating set, the elements it holds for form a
-# subalgebra, so it holds everywhere (Farnsteiner, J. Algebra 118, 1988).
-# L[+-1], L[+-2] and the M, Y and c of those degrees generate this family,
-# and on windows the kept rows have the rank of all rows (checked, not
-# assumed; with 2 in place of 4 the rank drops).  The raw tensor-square
-# target keeps every pair: there the truncated rows lose rank, both
-# centerless and central (at (s, lambda) = (0, 1), degree -2, window 6,
-# 774 -> 756).
-GENERATING_DD = 4
 
 
 def _parity_ok(kind: str, dd: int, s2: int) -> bool:

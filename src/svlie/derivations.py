@@ -489,9 +489,12 @@ def table_from_json(text: str) -> DerivationTable:
     lo, hi = payload["window"]
     window = Window(lo, hi)
     values = {}
-    for entry in payload["values"]:
+    for pos, entry in enumerate(payload["values"]):
         gen = parse_element(entry["gen"])
-        (g,) = gen.support()
+        if list(gen.terms.values()) != [1]:
+            msg = "must be a single generator with coefficient 1"
+            raise ValueError(f"values[{pos}]: gen {entry['gen']!r} {msg}")
+        (g,) = gen.terms
         if target == ALGEBRA:
             values[g] = parse_element(entry["value"])
         else:

@@ -123,26 +123,30 @@ class RowEchelon:
     def kernel_basis(self, n_cols: int) -> list[dict[int, Fraction]]:
         """One exact kernel vector per free column, unit at that column.
 
-        Intended for small systems (certificates, tests); cost grows with
-        the number of pivot rows times their fill.
+        The pivot rows are reduced once, in integers and from the last
+        pivot up, until each keeps only its pivot and free columns; the
+        vector of free column f then reads -coeff(f) / lead off every
+        reduced row that has f, in descending pivot order.
         """
-        rows = sorted(self._pivots.items(), reverse=True)
-        free = [c for c in range(n_cols) if c not in self._pivots]
-        basis = []
-        for f in free:
-            vec: dict[int, Fraction] = {f: Fraction(1)}
-            for piv, items in rows:
-                if piv > f:
-                    continue
-                s = Fraction(0)
-                for col, coeff in items[1:]:
-                    xv = vec.get(col)
-                    if xv is not None:
-                        s += coeff * xv
-                if s:
-                    vec[piv] = -s / items[0][1]
-            basis.append(vec)
-        return basis
+        basis = {c: {c: Fraction(1)} for c in range(n_cols) if c not in self._pivots}
+        reduced: dict[int, dict[int, int]] = {}
+        for piv in sorted(self._pivots, reverse=True):
+            row = dict(self._pivots[piv])
+            # row := a * row - b * reduced[q] clears q and adds free columns only
+            for q in [q for q in row if q in reduced]:
+                red = reduced[q]
+                g = gcd(red[q], row[q])
+                a, b = red[q] // g, row[q] // g
+                if a != 1:
+                    row = {k: a * v for k, v in row.items()}
+                for k, v in red.items():
+                    row[k] = row.get(k, 0) - b * v
+            g = gcd(*row.values()) * (1 if row[piv] > 0 else -1)
+            row = reduced[piv] = {k: v // g for k, v in row.items() if v}
+            for c, k in row.items():
+                if c != piv:
+                    basis[c][piv] = Fraction(-k, row[piv])
+        return list(basis.values())
 
 
 def rank_of(rows: Iterable[dict]) -> int:

@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .algebra import (
+    GENERATING_DD,
     AlgebraParams,
     BasisIndex,
     Element,
@@ -210,12 +211,13 @@ def check_cybe(r: Tensor2, p: AlgebraParams) -> bool:
 
 def check_mybe(r: Tensor2, p: AlgebraParams, w: Window) -> bool:
     """Modified Yang-Baxter equation on a window: every in-window
-    generator acts trivially on the obstruction."""
+    generator kills the obstruction.  The generating set is tried: what
+    kills a finite tensor is a subalgebra (see algebra.GENERATING_DD)."""
     obstruction = ybe_c(r, p)
     if not obstruction:
         return True
     for g in w.basis_indices(p):
-        if diag_action(Element.basis(g), obstruction, p):
+        if abs(g.dd) <= GENERATING_DD and diag_action(Element.basis(g), obstruction, p):
             return False
     return True
 

@@ -12,6 +12,11 @@ from svlie.derivations import table_to_json
 
 WITT_R = "1 * L[0] (x) L[1]\n-1 * L[1] (x) L[0]\n"
 NEG_R = "1 * L[-1] (x) L[2]\n-1 * L[2] (x) L[-1]\n"
+# a derivation table whose second entry has the given "gen" text
+GEN_TABLE = (
+    '{"target": "algebra", "degree": "0", "window": [-4, 4], "values": '
+    '[{"gen": "L[0]", "value": "0"}, {"gen": "%s", "value": "0"}]}'
+)
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +213,14 @@ class TestDerivationCommand:
             ('{"target": "algebra", ', "Expecting"),
             ('{"degree": "0", "window": [-4, 4], "values": []}', "missing key 'target'"),
             ('{"target": "algebra", "window": 4, "values": []}', "cannot unpack"),
+        ]
+        + [
+            (
+                GEN_TABLE % gen,
+                f"values[1]: gen '{gen}' must be a single generator with "
+                "coefficient 1",
+            )
+            for gen in ("L[1] + L[2]", "0", "2*L[1]")
         ],
     )
     def test_malformed_table(self, capsys, tmp_path, content, reason):

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from svlie import algebra, linalg
 from svlie.algebra import (
     AlgebraParams,
     Element,
@@ -30,7 +31,8 @@ from svlie.cohomology import (
     verify_skew_image_lemma,
 )
 from svlie.linalg import RowEchelon, int_row
-from svlie.tensors import Tensor2, tensor_of, twist
+from svlie.literals import parse_tensor2
+from svlie.tensors import Tensor2, check_mybe, diag_action, tensor_of, twist, ybe_c
 
 HALF = Fraction(1, 2)
 
@@ -167,6 +169,86 @@ def test_reports_match_full_pair_reference(s, lam, central):
             v for v in sym_kernel if all(a.dd + b.dd == 0 for a, b in v)
         ]
         assert action_kernel(p, w, 2, symmetric=True) == degree_zero
+
+
+EXACT_LAMBDAS = [Fraction(k, 4) for k in range(-16, 17)] + [
+    Fraction(-5, 3),
+    Fraction(7, 1000000007),
+]
+EXACT_WINDOWS = [Window.symmetric(b) for b in range(2, 7)] + [
+    Window(0, 8),
+    Window(-2, 5),
+    Window(-7, 3),
+    Window(-4, 8),
+]
+
+
+def kernels_of(p, w):
+    return [
+        action_kernel(p, w, 1),
+        action_kernel(p, w, 2),
+        action_kernel(p, w, 2, symmetric=True),
+    ]
+
+
+def all_actor_kernels(p, w):
+    """The action kernels with every window generator acting."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(algebra, "GENERATING_DD", max(-w.lo, w.hi))
+        return kernels_of(p, w)
+
+
+@pytest.mark.parametrize("central", [True, False], ids=["central", "centerless"])
+@pytest.mark.parametrize("s", [Fraction(0), HALF], ids=["s=0", "s=1/2"])
+def test_generating_set_kernels_equal_all_actor_kernels(s, central):
+    # the same vectors with the same key order, not just the same span
+    for lam in EXACT_LAMBDAS:
+        p = AlgebraParams(s, lam, central)
+        for w in EXACT_WINDOWS:
+            assert repr(kernels_of(p, w)) == repr(all_actor_kernels(p, w)), (p, w)
+
+
+MYBE_RS = [
+    parse_tensor2("1 * L[0] (x) L[1] - 1 * L[1] (x) L[0]"),
+    parse_tensor2("1 * L[-1] (x) L[2] - 1 * L[2] (x) L[-1]"),
+    # degree-0 obstructions: at s = 1/2, lambda = 0 every degree-0
+    # generator kills them and only the others decide
+    parse_tensor2("1 * L[3] (x) L[-3] - 1 * L[-3] (x) L[3]"),
+    parse_tensor2("1 * L[1] (x) L[-1] - 1 * L[-1] (x) L[1]"),
+]
+
+
+@pytest.mark.parametrize("s", [Fraction(0), HALF], ids=["s=0", "s=1/2"])
+def test_mybe_verdicts_equal_all_actor_loop(s):
+    seen = set()
+    for lam in (Fraction(0), Fraction(5), Fraction(-5, 3)):
+        for central in (True, False):
+            p = AlgebraParams(s, lam, central)
+            for w in EXACT_WINDOWS:
+                for r in MYBE_RS:
+                    obstruction = ybe_c(r, p)
+                    want = not any(
+                        diag_action(Element.basis(g), obstruction, p)
+                        for g in w.basis_indices(p)
+                    )
+                    assert check_mybe(r, p, w) == want, (p, w, str(r))
+                    seen.add(want)
+    assert seen == {True, False}
+
+
+def test_window_64_pair_kernel_rows(monkeypatch):
+    # the generating set's rows; every window generator acting inserted
+    # 107,524
+    inserted = []
+    insert = linalg.RowEchelon.insert
+
+    def counting_insert(ech, row):
+        inserted.append(row)
+        return insert(ech, row)
+
+    monkeypatch.setattr(linalg.RowEchelon, "insert", counting_insert)
+    action_kernel(AlgebraParams(0, 0), Window.symmetric(64), 2)
+    assert len(inserted) == 6920
 
 
 def test_arity_is_checked():
