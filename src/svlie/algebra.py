@@ -40,6 +40,7 @@ __all__ = [
     "center_in_window",
     "check_jacobi",
     "degree_of",
+    "generating_set",
     "rat",
 ]
 
@@ -458,19 +459,27 @@ class Window:
         return sorted(out)
 
 
-# Leibniz rows (cohomology.assemble) and actors (action_kernel,
-# tensors.check_mybe) come from the generators of |doubled degree| <=
-# GENERATING_DD, which generate every window generator on their side of
-# degree 0 (README, "Degree grading of the action kernels").  The elements
-# that kill a finite tensor form a subalgebra, since the action on it is
-# never truncated, so the action kernels are exact.  If a linear map
-# satisfies the Leibniz rule against a generating set, it does everywhere
-# (Farnsteiner, J. Algebra 118, 1988); on windows the kept rows have the
-# rank of all rows (checked, not assumed; with 2 in place of 4 the rank
-# drops).  The raw tensor-square target keeps every pair: there the
-# truncated rows lose rank (at (s, lambda) = (0, 1), degree -2, window 6,
-# 774 -> 756 centerless).
-GENERATING_DD = 4
+def generating_set(p: AlgebraParams, w: Window) -> list[BasisIndex]:
+    """The window generators that write the Leibniz rows of
+    cohomology.assemble and act in action_kernel and tensors.check_mybe.
+
+    On a window that holds doubled degrees -4..4 these are L[0], L[+-1],
+    L[+-2] and the Y[q] with |q| <= 1, which generate every generator
+    (README, "Generating-set rows"); on any other window, every window
+    generator.  What kills a finite tensor is a subalgebra, since the
+    action on it is never truncated, so the action kernels are exact.  A
+    map that is Leibniz against a generating set is a derivation
+    (Farnsteiner, J. Algebra 118, 1988); on windows the kept rows have the
+    rank of all rows, which is checked: without L[0] window 4 loses rank,
+    and without the window guard window 3 and the one-sided windows do.
+    """
+    gens = w.basis_indices(p)
+    if not (w.lo <= -4 and w.hi >= 4):
+        return gens
+    return [
+        g for g in gens
+        if (g.kind == "L" and abs(g.dd) <= 4) or (g.kind == "Y" and abs(g.dd) <= 2)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +551,11 @@ def action_kernel(
     total doubled degree 0, as one {key: coefficient} dict per free column.
 
     Keys are basis indices for arity 1 and ordered index pairs for arity 2.
-    The window generators of |doubled degree| <= GENERATING_DD act, and
-    products are compared to zero wherever they land, so what they kill is
-    killed by the brackets they generate: every window generator.  With
-    symmetric set, only the symmetric part of each product must vanish
-    (the pair keys of a product are folded onto their sorted form).
+    The generating set acts, and products are compared to zero wherever
+    they land, so what it kills is killed by the brackets it generates:
+    every window generator.  With symmetric set, only the symmetric part
+    of each product must vanish (the pair keys of a product are folded
+    onto their sorted form).
 
     Only the degree-0 slice is built, which is exact: L[0] is in every
     window and acts on a key of total degree d as multiplication by d, so
@@ -567,7 +576,7 @@ def action_kernel(
     else:
         raise ValueError("arity must be 1 or 2")
     rows: dict[tuple, dict[int, int]] = {}
-    for g in (g for g in gens if abs(g.dd) <= GENERATING_DD):
+    for g in generating_set(p, w):
         for col, key in enumerate(keys):
             # BracketTable.act written out: a call per key made the
             # kernels benchmark about 30% slower

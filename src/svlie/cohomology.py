@@ -16,7 +16,6 @@ from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import (
-    GENERATING_DD,
     AlgebraParams,
     BasisIndex,
     Element,
@@ -24,6 +23,7 @@ from .algebra import (
     action_kernel,
     bracket_table,
     center_in_window,
+    generating_set,
     rat,
 )
 from .derivations import (
@@ -113,17 +113,6 @@ class LinearSystem:
             if inner.contains(g) and inner.contains(t)
         ]
 
-    def residual_is_zero(self, vec: dict[int, Fraction]) -> bool:
-        for row in self.rows:
-            s = Fraction(0)
-            for col, coeff in row.items():
-                xv = vec.get(col)
-                if xv is not None:
-                    s += coeff * xv
-            if s:
-                return False
-        return True
-
 
 def _slice_keys(
     p: AlgebraParams,
@@ -181,8 +170,9 @@ def assemble(
     target basis in degree deg(g) + alpha, for every window generator g.
     One equation block is emitted per generator pair, filtered down to the
     rows whose coefficients all live inside the window.  Except on the raw
-    tensor-square target, only the pairs with a side of |doubled degree|
-    <= GENERATING_DD are kept: the same row space, with fewer rows.
+    tensor-square target, only the pairs with a side in
+    algebra.generating_set are kept: the same row space, with fewer rows
+    (README, "Generating-set rows").
     """
     if target not in (ALGEBRA, TENSOR, CENTER_TENSOR):
         raise ValueError(f"unknown target {target!r}")
@@ -240,11 +230,11 @@ def assemble(
             h,
         )
 
-    bound = None if target == TENSOR else GENERATING_DD
+    kept = None if target == TENSOR else frozenset(generating_set(p, w))
     pairs = []
     for i, g in enumerate(gens):
         for h in gens[i + 1 :]:
-            if bound is None or min(abs(g.dd), abs(h.dd)) <= bound:
+            if kept is None or g in kept or h in kept:
                 pairs.append((g, h))
     pairs.sort(key=pair_sort_key)
 
@@ -540,16 +530,18 @@ def _interior_vec(value, inner: Window) -> dict:
     return {key: c for key, c in value.terms.items() if inner.contains(key)}
 
 
-def _span_rank(vectors: Iterable[dict]) -> int:
-    keymap: dict = {}
-    ech = RowEchelon()
+def _span(
+    vectors: Iterable[dict], keymap: dict, ech: Optional[RowEchelon] = None
+) -> RowEchelon:
+    """ech (a new echelon when None) extended by the vectors, whose keys
+    are numbered through keymap."""
+    ech = RowEchelon() if ech is None else ech
     for vec in vectors:
         row = {}
         for key, coeff in vec.items():
-            col = keymap.setdefault(key, len(keymap))
-            row[col] = coeff
+            row[keymap.setdefault(key, len(keymap))] = coeff
         ech.insert(int_row(row))
-    return ech.rank
+    return ech
 
 
 def verify_invariants_are_central(
@@ -566,12 +558,13 @@ def verify_invariants_are_central(
         kernel = [Tensor2(vec) for vec in action_kernel(p, w, 2)]
         products = [tensor_of(z1, z2) for z1 in center for z2 in center]
     inner = w.interior()
-    kernel_rank = _span_rank(_interior_vec(v, inner) for v in kernel)
-    product_rank = _span_rank(_interior_vec(v, inner) for v in products)
-    joint_rank = _span_rank(
-        [_interior_vec(v, inner) for v in kernel]
-        + [_interior_vec(v, inner) for v in products]
-    )
+    product_vecs = [_interior_vec(v, inner) for v in products]
+    product_rank = _span(product_vecs, {}).rank
+    # the joint span extends the kernel echelon by the products
+    keymap: dict = {}
+    ech = _span((_interior_vec(v, inner) for v in kernel), keymap)
+    kernel_rank = ech.rank
+    joint_rank = _span(product_vecs, keymap, ech).rank
     ok = kernel_rank == product_rank == joint_rank
     return CheckReport(
         "invariants-are-central",
@@ -602,8 +595,8 @@ def verify_skew_image_lemma(p: AlgebraParams, w: Window) -> CheckReport:
     center = center_in_window(p, w)
     products = [tensor_of(z1, z2) for z1 in center for z2 in center]
     inner = w.interior()
-    product_vecs = [_interior_vec(v, inner) for v in products]
-    product_rank = _span_rank(product_vecs)
+    keymap: dict = {}
+    product_ech = _span((_interior_vec(v, inner) for v in products), keymap)
 
     failures = []
     for v in basis:
@@ -611,7 +604,7 @@ def verify_skew_image_lemma(p: AlgebraParams, w: Window) -> CheckReport:
         sym = v_int + twist(v_int)
         if not sym:
             continue
-        if _span_rank(product_vecs + [dict(sym.terms)]) != product_rank:
+        if _span([sym.terms], keymap, product_ech.copy()).rank != product_ech.rank:
             failures.append(str(v))
     return CheckReport(
         "skew-image",

@@ -14,9 +14,9 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Optional
 
-__all__ = ["RowEchelon", "int_row", "rank_of"]
+__all__ = ["RowEchelon", "int_row"]
 
 _NORMALIZE_EVERY = 8
 
@@ -147,10 +147,3 @@ class RowEchelon:
                 if c != piv:
                     basis[c][piv] = Fraction(-k, row[piv])
         return list(basis.values())
-
-
-def rank_of(rows: Iterable[dict]) -> int:
-    ech = RowEchelon()
-    for row in rows:
-        ech.insert(int_row(row))
-    return ech.rank

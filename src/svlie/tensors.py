@@ -13,13 +13,13 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .algebra import (
-    GENERATING_DD,
     AlgebraParams,
     BasisIndex,
     Element,
     Window,
     bracket_table,
     format_terms,
+    generating_set,
     rat,
 )
 
@@ -216,8 +216,8 @@ def check_mybe(r: Tensor2, p: AlgebraParams, w: Window) -> bool:
     obstruction = ybe_c(r, p)
     if not obstruction:
         return True
-    for g in w.basis_indices(p):
-        if abs(g.dd) <= GENERATING_DD and diag_action(Element.basis(g), obstruction, p):
+    for g in generating_set(p, w):
+        if diag_action(Element.basis(g), obstruction, p):
             return False
     return True
 

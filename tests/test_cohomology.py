@@ -30,6 +30,19 @@ from svlie.linalg import RowEchelon, int_row
 HALF = Fraction(1, 2)
 
 
+def residual_is_zero(system, vec):
+    """Every row of the system annihilates vec, in Fractions."""
+    for row in system.rows:
+        total = Fraction(0)
+        for col, coeff in row.items():
+            xv = vec.get(col)
+            if xv is not None:
+                total += coeff * xv
+        if total:
+            return False
+    return True
+
+
 class TestAssemble:
     def test_deterministic(self):
         p = AlgebraParams(HALF, -1)
@@ -103,7 +116,7 @@ class TestSolverExactness:
         p = AlgebraParams(s, lam)
         sys_ = assemble(p, target, 0, Window.symmetric(8))
         for vec in inner_vectors(sys_):
-            assert sys_.residual_is_zero(vec)
+            assert residual_is_zero(sys_, vec)
 
     def test_catalog_tables_lie_in_full_tensor_kernel(self):
         # certificates are valid against the unreduced window system too
@@ -112,7 +125,7 @@ class TestSolverExactness:
         sys_ = assemble(p, "tensor-square", 0, w)
         for table in catalog_basis(p, "tensor-square", w):
             vec = table_to_vector(sys_, table)
-            assert sys_.residual_is_zero(vec)
+            assert residual_is_zero(sys_, vec)
 
     def test_kernel_tables_are_derivations_on_interior(self):
         p = AlgebraParams(0, -2)

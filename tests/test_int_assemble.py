@@ -8,7 +8,8 @@ inner vectors.  The systems built on either path must agree exactly:
 labels, rows, provenance, index, slice keys and the inner vectors.
 
 The generating-set tests compare the rows `assemble` keeps with every
-pair's rows, obtained by raising `GENERATING_DD` to the window bound.
+pair's rows, obtained by patching `generating_set` to return every window
+generator.
 """
 
 from fractions import Fraction
@@ -20,9 +21,12 @@ from svlie.algebra import (
     AlgebraParams,
     BasisIndex,
     Element,
+    L,
     Window,
+    Y,
     bracket,
     bracket_int,
+    generating_set,
 )
 from svlie import cohomology
 from svlie.cohomology import (
@@ -83,11 +87,24 @@ def reference_slice_keys(p, base, w, dd, center_set):
     return sorted(keys)
 
 
+# the generating set on a window that holds doubled degrees -4..4
+GENERATORS = {L(0), L(1), L(-1), L(2), L(-2), Y(0), Y(1), Y(-1), Y(HALF), Y(-HALF)}
+
+
+def keeps_pair(target, w, g, h):
+    """The raw tensor-square target and windows without doubled degrees
+    -4..4 keep every pair; the others the pairs with a side in GENERATORS."""
+    return (
+        target == TENSOR
+        or not (w.lo <= -4 and 4 <= w.hi)
+        or g in GENERATORS
+        or h in GENERATORS
+    )
+
+
 def reference_assemble(p, target, alpha, w):
     """The Fraction assembly: (labels, index, rows, provenance, gens,
-    slice_keys, center_set).  Only the raw tensor-square target keeps
-    every generator pair; the others keep the pairs with a side of
-    |doubled degree| <= 4."""
+    slice_keys, center_set), keeping the pairs that keeps_pair names."""
     shift = int(alpha * 2)
     center_set = _center_index_set(p, w) if target == CENTER_TENSOR else None
     base = TENSOR if target == CENTER_TENSOR else target
@@ -118,7 +135,7 @@ def reference_assemble(p, target, alpha, w):
 
     pairs = [
         (g, h) for i, g in enumerate(gens) for h in gens[i + 1:]
-        if target == TENSOR or min(abs(g.dd), abs(h.dd)) <= 4
+        if keeps_pair(target, w, g, h)
     ]
     pairs.sort(key=lambda gh: (
         max(abs(gh[0].dd), abs(gh[1].dd)), abs(gh[0].dd) + abs(gh[1].dd), gh[0], gh[1]
@@ -231,6 +248,10 @@ GENERATING_CASES = [(Fraction(0), n) for n in (8, 12, 16)] + [
 ]
 
 
+def every_generator(p, w):
+    return w.basis_indices(p)
+
+
 @pytest.mark.parametrize(
     "s,lam", GENERATING_ROWS, ids=[f"{s}:{lam}" for s, lam in GENERATING_ROWS]
 )
@@ -246,7 +267,7 @@ def test_generating_set_rows_span_every_pair(s, lam, monkeypatch):
                 case = (p, target, alpha, n)
                 kept = assemble(p, target, alpha, w)
                 with monkeypatch.context() as m:
-                    m.setattr(cohomology, "GENERATING_DD", n)
+                    m.setattr(cohomology, "generating_set", every_generator)
                     full = assemble(p, target, alpha, w)
                 assert _is_subsequence(
                     list(zip(kept.provenance, kept.rows)),
@@ -268,20 +289,67 @@ def test_raw_tensor_square_keeps_every_pair(monkeypatch):
     w = Window.symmetric(6)
     system = assemble(p, TENSOR, -2, w)
     with monkeypatch.context() as m:
-        m.setattr(cohomology, "GENERATING_DD", 0)
+        m.setattr(cohomology, "generating_set", lambda p, w: [])
         assert assemble(p, TENSOR, -2, w).provenance == system.provenance
     kept = [
         row for row, (g, h, _) in zip(system.rows, system.provenance)
-        if min(abs(g.dd), abs(h.dd)) <= 4
+        if keeps_pair(CENTER_TENSOR, w, g, h)
     ]
     assert len(kept) < len(system.rows)
     assert _rank(system.rows) == 774
     assert _rank(kept) == 756
 
 
+# symmetric windows 1-3 and the one-sided windows lack doubled degrees
+# -4..4 and keep every pair
+GUARD_WINDOWS = [Window.symmetric(b) for b in range(1, 9)] + [
+    Window(-4, 9),
+    Window(-9, 4),
+    Window(0, 6),
+    Window(-6, 0),
+]
+
+
+@pytest.mark.parametrize("s", [Fraction(0), HALF], ids=["s=0", "s=1/2"])
+def test_window_guard_keeps_rank(s, monkeypatch):
+    """On every window the kept rows have the rank of every pair's rows.
+    Without the window guard the rank drops: at window 3, (1/2, -2),
+    degree +-2, and on Window(0, 6) and Window(-6, 0) at (0, -4), degree
+    -2 and 2, all on the algebra target."""
+    for lam in (Fraction(-4), Fraction(-2)):
+        p = AlgebraParams(s, lam)
+        for w in GUARD_WINDOWS:
+            gens = generating_set(p, w)
+            if w.lo <= -4 and 4 <= w.hi:
+                assert len(gens) == (7 if p.s2 else 8), w
+            else:
+                assert gens == w.basis_indices(p), w
+            for alpha in (0, HALF, -HALF, 1, -1, 2, -2):
+                for target in (ALGEBRA, CENTER_TENSOR):
+                    case = (p, w, alpha, target)
+                    kept = assemble(p, target, alpha, w)
+                    with monkeypatch.context() as m:
+                        m.setattr(cohomology, "generating_set", every_generator)
+                        full = assemble(p, target, alpha, w)
+                    assert _rank(kept.rows) == _rank(full.rows), case
+
+
+def test_l0_stays_in_generating_set():
+    """Without L[0] the kept rows lose rank at window 4."""
+    p = AlgebraParams(HALF, 0)
+    w = Window.symmetric(4)
+    system = assemble(p, ALGEBRA, 2, w)
+    without = set(generating_set(p, w)) - {L(0)}
+    rows = [
+        row for row, (g, h, _) in zip(system.rows, system.provenance)
+        if g in without or h in without
+    ]
+    assert (_rank(rows), _rank(system.rows)) == (15, 16)
+
+
 def test_window_64_tensor_square_solve():
     report = solve_h1(AlgebraParams(0, 0), TENSOR, 0, Window.symmetric(64))
-    assert report.n_rows == 28058
+    assert report.n_rows == 16186
     assert report.n_unknowns == 2352
     assert (report.dim_der, report.dim_inn, report.dim_h1) == (20, 8, 12)
     assert report.certified

@@ -26,7 +26,6 @@ from svlie.algebra import (
 from svlie.cohomology import (
     CheckReport,
     _interior_vec,
-    _span_rank,
     verify_invariants_are_central,
     verify_skew_image_lemma,
 )
@@ -51,6 +50,15 @@ ROWS = [
 ]
 
 WINDOWS = [Window.symmetric(b) for b in range(2, 7)] + [Window(-2, 5)]
+
+
+def _span_rank(vectors):
+    """Rank of {key: Fraction} vectors, each inserted once."""
+    keymap = {}
+    ech = RowEchelon()
+    for vec in vectors:
+        ech.insert(int_row({keymap.setdefault(k, len(keymap)): c for k, c in vec.items()}))
+    return ech.rank
 
 
 def kernel_of(rows, keys):
@@ -194,7 +202,7 @@ def kernels_of(p, w):
 def all_actor_kernels(p, w):
     """The action kernels with every window generator acting."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(algebra, "GENERATING_DD", max(-w.lo, w.hi))
+        m.setattr(algebra, "generating_set", lambda p, w: w.basis_indices(p))
         return kernels_of(p, w)
 
 
@@ -206,6 +214,25 @@ def test_generating_set_kernels_equal_all_actor_kernels(s, central):
         p = AlgebraParams(s, lam, central)
         for w in EXACT_WINDOWS:
             assert repr(kernels_of(p, w)) == repr(all_actor_kernels(p, w)), (p, w)
+
+
+# symmetric windows 1-3 and the one-sided windows lack doubled degrees
+# -4..4, so every window generator acts there
+GUARD_WINDOWS = [Window.symmetric(b) for b in range(1, 9)] + [
+    Window(-4, 9),
+    Window(-9, 4),
+    Window(0, 6),
+    Window(-6, 0),
+]
+
+
+@pytest.mark.parametrize("s", [Fraction(0), HALF], ids=["s=0", "s=1/2"])
+def test_window_guard_kernels_equal_all_actor_kernels(s):
+    for lam in (Fraction(-4), Fraction(-2), Fraction(0), Fraction(-5, 3)):
+        for central in (True, False):
+            p = AlgebraParams(s, lam, central)
+            for w in GUARD_WINDOWS:
+                assert repr(kernels_of(p, w)) == repr(all_actor_kernels(p, w)), (p, w)
 
 
 MYBE_RS = [
@@ -237,7 +264,7 @@ def test_mybe_verdicts_equal_all_actor_loop(s):
 
 
 def test_window_64_pair_kernel_rows(monkeypatch):
-    # the generating set's rows; every window generator acting inserted
+    # the generating set's rows; every window generator acting inserts
     # 107,524
     inserted = []
     insert = linalg.RowEchelon.insert
@@ -248,7 +275,7 @@ def test_window_64_pair_kernel_rows(monkeypatch):
 
     monkeypatch.setattr(linalg.RowEchelon, "insert", counting_insert)
     action_kernel(AlgebraParams(0, 0), Window.symmetric(64), 2)
-    assert len(inserted) == 6920
+    assert len(inserted) == 4550
 
 
 def test_arity_is_checked():

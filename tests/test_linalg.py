@@ -7,7 +7,7 @@ import pytest
 
 from svlie import linalg
 from svlie.algebra import AlgebraParams, Window, action_kernel
-from svlie.linalg import RowEchelon, int_row, rank_of
+from svlie.linalg import RowEchelon, int_row
 
 
 def echelon_of(rows):
@@ -15,6 +15,11 @@ def echelon_of(rows):
     for row in rows:
         ech.insert(int_row(dict(row)))
     return ech
+
+
+def rank_of(rows):
+    """Rank of rows with int or Fraction values."""
+    return echelon_of(rows).rank
 
 
 def annihilates(vec, rows):
