@@ -29,7 +29,6 @@ from .algebra import (
 from .derivations import (
     ALGEBRA,
     TENSOR,
-    DeferredCaseError,
     DerivationTable,
     catalog_basis,
 )
@@ -403,9 +402,11 @@ def solve_h1(
     """Derivation space, inner subspace and their quotient on a window.
 
     Dimensions are reported after restricting solutions (and inner tables)
-    to the interior half-window.  candidates, when available, are a basis
-    of the expected quotient; the report is marked certified when the
-    independent candidates span the quotient exactly.
+    to the interior half-window.  candidates are a basis of the expected
+    quotient: by default the case row's named constructors at degree 0
+    and the empty family at any other degree.  The report is marked
+    certified when the independent candidates span the quotient exactly;
+    otherwise note says how far they fall short.
 
     Tensor-square degree slices are infinite in each degree, so a raw
     window kernel also contains shadows of derivations into the completed
@@ -439,38 +440,24 @@ def solve_h1(
     dim_inn = ech_inn.rank
     dim_h1 = dim_der - dim_inn
 
-    note = ""
     if candidates is None:
-        if sys_.alpha != 0:
-            # nonzero degrees carry no outer classes; certify against the
-            # empty family
-            candidates = []
-        elif target in (ALGEBRA, TENSOR):
-            try:
-                candidates = catalog_basis(p, target, w)
-            except DeferredCaseError as exc:
-                candidates = None
-                note = f"deferred case: {exc}"
-        elif target == CENTER_TENSOR:
-            from .derivations import tensorized_algebra_family
-
-            try:
-                candidates = tensorized_algebra_family(p, w)
-            except DeferredCaseError as exc:
-                candidates = None
-                note = f"deferred case: {exc}"
+        # nonzero degrees carry no outer classes; certify against the
+        # empty family
+        base = ALGEBRA if target == ALGEBRA else TENSOR
+        candidates = catalog_basis(p, base, w) if sys_.alpha == 0 else []
 
     names: list[str] = []
     tables: list[DerivationTable] = []
-    certified = False
-    if candidates is not None:
-        ech_q = ech_inn.copy()
-        for table in candidates:
-            vec = table_to_vector(sys_, table)
-            if ech_q.insert(_restricted(vec, interior)) is not None:
-                names.append(table.name or f"candidate-{len(names) + 1}")
-                tables.append(table)
-        certified = dim_h1 == len(names)
+    ech_q = ech_inn.copy()
+    for table in candidates:
+        vec = table_to_vector(sys_, table)
+        if ech_q.insert(_restricted(vec, interior)) is not None:
+            names.append(table.name or f"candidate-{len(names) + 1}")
+            tables.append(table)
+    certified = dim_h1 == len(names)
+    note = "" if certified else (
+        f"the named constructors span {len(names)} of {dim_h1} classes"
+    )
 
     return CohomologyReport(
         p,
@@ -618,8 +605,6 @@ def verify_skew_image_lemma(p: AlgebraParams, w: Window) -> CheckReport:
 def verify_center_tensor_identity(p: AlgebraParams, w: Window) -> CheckReport:
     """Degree-zero cohomology valued in center-legged tensors equals the
     center-tensored degree-zero cohomology of the algebra itself."""
-    from .derivations import tensorized_algebra_family
-
     system = assemble(p, CENTER_TENSOR, 0, w)
     left = solve_h1(p, CENTER_TENSOR, 0, w, system=system).dim_h1
 
@@ -632,7 +617,7 @@ def verify_center_tensor_identity(p: AlgebraParams, w: Window) -> CheckReport:
     for vec in inner_vectors(system):
         ech.insert(_restricted(vec, interior))
     base_rank = ech.rank
-    for table in tensorized_algebra_family(p, w):
+    for table in catalog_basis(p, TENSOR, w):
         vec = table_to_vector(system, table)
         ech.insert(_restricted(vec, interior))
     right = ech.rank - base_rank

@@ -16,6 +16,7 @@ from math import lcm
 from typing import Callable, Mapping, Optional, Union
 
 from .algebra import (
+    C,
     AlgebraParams,
     BasisIndex,
     Element,
@@ -28,7 +29,6 @@ from .tensors import Tensor2
 
 __all__ = [
     "CatalogCaseError",
-    "DeferredCaseError",
     "DerivationReport",
     "DerivationTable",
     "case_label",
@@ -49,10 +49,6 @@ Value = Union[Element, Tensor2]
 
 class CatalogCaseError(ValueError):
     """Requested constructors do not exist for the given case row."""
-
-
-class DeferredCaseError(CatalogCaseError):
-    """The case row is known but handled elsewhere; no constructors here."""
 
 
 def _zero(target: str) -> Value:
@@ -220,6 +216,7 @@ def inner(v: Value, p: AlgebraParams, w: Window) -> DerivationTable:
 #   ideal_scale       M_n -> 2 M_n,  Y_q -> Y_q
 #   l_to_m_<weight>   L_n -> weight(n) M_n
 #   y_to_m_<weight>   Y_n -> weight(n) M_n   (integer sector only)
+#   y0_to_c           Y_0 -> c               (central rows only)
 #
 # Tensor-square versions put a window-central leg on either side of the
 # same values; their span is what the degree-zero tensor cohomology
@@ -248,7 +245,7 @@ def _w_n2_minus_n(n: int) -> Fraction:
 @dataclass(frozen=True)
 class _Member:
     name: str
-    source: str  # 'L', 'Y' or 'ideal'
+    source: str  # 'L', 'Y', 'Y0' or 'ideal'
     weight: Callable[[int], Fraction]
 
     def element_value(self, g: BasisIndex) -> Element:
@@ -258,6 +255,8 @@ class _Member:
             if g.kind == "Y":
                 return Element.basis(g)
             return Element.zero()
+        if self.source == "Y0":
+            return Element.basis(C) if g == BasisIndex("Y", 0) else Element.zero()
         if self.source == "L" and g.kind == "L":
             coeff = self.weight(g.dd // 2)
             return Element({BasisIndex("M", g.dd): coeff})
@@ -293,6 +292,8 @@ _CASE_MEMBERS: dict[tuple[int, object], list[_Member]] = {
     ],
     (0, Fraction(-2)): [_IDEAL_SCALE, _Member("l_to_m_n3", "L", _w_n3)],
     (0, Fraction(1)): [_IDEAL_SCALE, _Member("y_to_m_1", "Y", _w_one)],
+    # [L_n, Y_-n] = 0 at -3, so Y_0 is no bracket and Y_0 -> c is a derivation
+    (0, Fraction(-3)): [_IDEAL_SCALE, _Member("y0_to_c", "Y0", _w_one)],
     (0, "generic"): [_IDEAL_SCALE],
 }
 
@@ -305,17 +306,9 @@ def case_label(p: AlgebraParams) -> object:
     return p.lam if p.lam in _SPECIAL[p.s2] else "generic"
 
 
-def _case_members(p: AlgebraParams, target: str) -> list[_Member]:
-    key = (p.s2, case_label(p))
-    if key == (0, Fraction(-3)):
-        raise DeferredCaseError(
-            "the integer sector at deformation -3 is a deferred case"
-        )
-    if target == TENSOR and key == (1, Fraction(0)):
-        raise DeferredCaseError(
-            "tensor-square constructors at s=1/2, lambda=0 are a deferred case"
-        )
-    return _CASE_MEMBERS[key]
+def _case_members(p: AlgebraParams) -> list[_Member]:
+    members = _CASE_MEMBERS[p.s2, case_label(p)]
+    return [m for m in members if p.central or m.source != "Y0"]
 
 
 def _algebra_table(member: _Member, w: Window, p: AlgebraParams) -> dict[BasisIndex, Element]:
@@ -341,48 +334,35 @@ def _tensorize(values: Mapping[BasisIndex, Element], leg: Element, side: str) ->
     return out
 
 
-def _tensor_family(members: list[_Member], p: AlgebraParams, w: Window) -> list[DerivationTable]:
-    legs = center_in_window(p, w)
-    tables = []
-    for member in members:
-        base = _algebra_table(member, w, p)
-        for side in ("left", "right"):
-            for leg in legs:
-                vals = _tensorize(base, leg, side)
-                tables.append(
-                    DerivationTable(TENSOR, Fraction(0), w, vals,
-                                    name=f"{member.name}|{side}|{leg}")
-                )
-    return tables
-
-
 def catalog_basis(p: AlgebraParams, target: str, w: Window) -> list[DerivationTable]:
     """The full unit-parameter family for the case row of p.
 
-    Algebra target: one table per member.  Tensor target: one table per
-    (member, side, window-central leg).  The length of this list is the raw
-    parameter count; the dimension is the number of these tables that stay
-    independent modulo inner derivations, which solve_h1 certifies.
+    Every case row has one; y0_to_c, whose value is c, is left out on
+    centerless rows.  Algebra target: one table per member.  Tensor
+    target: one table per (member, side, window-central leg), the
+    center-legged versions of the algebra family.  The length of this list
+    is the raw parameter count; the dimension is the number of these
+    tables that stay independent modulo inner derivations, which solve_h1
+    certifies.
     """
-    members = _case_members(p, target)
+    members = _case_members(p)
     if target == ALGEBRA:
         return [
             DerivationTable(ALGEBRA, Fraction(0), w, _algebra_table(member, w, p),
                             name=member.name)
             for member in members
         ]
-    return _tensor_family(members, p, w)
-
-
-def tensorized_algebra_family(p: AlgebraParams, w: Window) -> list[DerivationTable]:
-    """Center-legged tensor versions of the algebra-target family.
-
-    The members are those of the algebra target, so the tensor-only gate
-    at (1/2, 0) does not apply, but (0, -3) raises DeferredCaseError as
-    it does for the catalog.  The center-tensor identity check compares
-    against exactly this span.
-    """
-    return _tensor_family(_case_members(p, ALGEBRA), p, w)
+    legs = center_in_window(p, w)
+    tables = []
+    for member in members:
+        base = _algebra_table(member, w, p)
+        for side in ("left", "right"):
+            for leg in legs:
+                tables.append(
+                    DerivationTable(TENSOR, Fraction(0), w, _tensorize(base, leg, side),
+                                    name=f"{member.name}|{side}|{leg}")
+                )
+    return tables
 
 
 def catalog(
@@ -402,7 +382,7 @@ def catalog(
     """
     if params is None:
         return catalog_basis(p, target, w)
-    members = {m.name: m for m in _case_members(p, target)}
+    members = {m.name: m for m in _case_members(p)}
     if target == ALGEBRA:
         allowed = set(members)
     else:

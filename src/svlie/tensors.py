@@ -212,7 +212,7 @@ def check_cybe(r: Tensor2, p: AlgebraParams) -> bool:
 def check_mybe(r: Tensor2, p: AlgebraParams, w: Window) -> bool:
     """Modified Yang-Baxter equation on a window: every in-window
     generator kills the obstruction.  The generating set is tried: what
-    kills a finite tensor is a subalgebra (see algebra.GENERATING_DD)."""
+    kills a finite tensor is a subalgebra (see algebra.generating_set)."""
     obstruction = ybe_c(r, p)
     if not obstruction:
         return True
@@ -236,8 +236,9 @@ def check_cojacobi_identity(r: Tensor2, x: Element, p: AlgebraParams) -> bool:
 
     The cyclic symmetrization of (1 (x) cobracket) applied to the
     cobracket of x must equal the action of x on the Yang-Baxter
-    obstruction.  This holds identically; a False return indicates an
-    implementation bug rather than a property of r.
+    obstruction.  This holds identically for skew r (r = -twist(r)), where
+    a False return indicates an implementation bug.  For r that is not
+    skew the balance need not hold, and a False return is expected.
     """
     obstruction, memo = _cobracket_memo(r, p)
 

@@ -24,7 +24,7 @@ from svlie.cohomology import (
     table_to_vector,
     vector_to_table,
 )
-from svlie.derivations import catalog_basis, homogeneous_component
+from svlie.derivations import case_label, catalog_basis, homogeneous_component
 from svlie.linalg import RowEchelon, int_row
 
 HALF = Fraction(1, 2)
@@ -393,7 +393,77 @@ class TestRegression:
         payload = report.as_dict()
         assert len(payload["rows"]) == 8
 
-    def test_deferred_case_noted(self):
-        rep = solve_h1(AlgebraParams(0, -3), "algebra", 0, Window.symmetric(10))
-        assert "deferred case" in rep.note
-        assert not rep.certified
+    def test_uncertified_report_noted(self):
+        w = Window.symmetric(10)
+        rep = solve_h1(AlgebraParams(0, 0), "algebra", 0, w, candidates=[])
+        assert rep.dim_h1 == 3 and not rep.certified
+        assert rep.note == "the named constructors span 0 of 3 classes"
+        assert rep.as_dict()["note"] == rep.note
+        rep = solve_h1(AlgebraParams(0, 0), "algebra", 0, w)
+        assert rep.certified and rep.note == ""
+
+
+class TestClosedRows:
+    """The rows (0, -3) and, on the tensor square, (1/2, 0), certified by
+    their named constructors like every other case row."""
+
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_minus_three_algebra(self, n):
+        for central, dim, names in (
+            (True, 2, ["ideal_scale", "y0_to_c"]),
+            (False, 1, ["ideal_scale"]),
+        ):
+            p = AlgebraParams(0, -3, central)
+            rep = solve_h1(p, "algebra", 0, Window.symmetric(n))
+            assert rep.dim_h1 == dim and rep.certified
+            assert rep.quotient_names == names and rep.note == ""
+
+    def test_minus_three_tensor_square(self):
+        central, centerless = paper_table_regression(
+            windows=(12, 16, 20), cases=((Fraction(0), Fraction(-3)),)
+        ).rows
+        # the c (x) c leg of y0_to_c is the same table on either side
+        assert central.dims == {12: 3, 16: 3, 20: 3} and central.certified
+        assert central.expected == 4 and central.independent == 3
+        assert central.dependent == ("y0_to_c|right|c",)
+        assert centerless.dims == {12: 0, 16: 0, 20: 0} and centerless.certified
+        assert centerless.expected == 0 and centerless.ok
+        assert centerless.verdict == "triangular coboundary"
+
+    def test_half_zero_tensor_square(self):
+        central, centerless = paper_table_regression(
+            windows=(12, 16, 20), cases=((HALF, Fraction(0)),)
+        ).rows
+        assert central.dims == {12: 12, 16: 12, 20: 12}
+        assert centerless.dims == {12: 6, 16: 6, 20: 6}
+        for row in (central, centerless):
+            assert row.ok and row.certified and row.dependent == ()
+
+    @pytest.mark.parametrize("s,lam", [(HALF, Fraction(0)), (Fraction(0), Fraction(-3))])
+    def test_center_tensor_identity(self, s, lam):
+        for central in (True, False):
+            p = AlgebraParams(s, lam, central)
+            rep = verify_center_tensor_identity(p, Window.symmetric(12))
+            assert rep.ok, rep.details
+
+    @pytest.mark.parametrize("s", [Fraction(0), HALF])
+    def test_special_parameters_sweep(self, s):
+        """lambda in quarter steps over [-4, 4], window 12: every degree-0
+        report is certified, and the lambdas whose dimensions differ from
+        a generic lambda are exactly the special case rows."""
+        w = Window.symmetric(12)
+
+        def dims(lam):
+            out = []
+            for central in (True, False):
+                for target in ("algebra", "tensor-square"):
+                    rep = solve_h1(AlgebraParams(s, lam, central), target, 0, w)
+                    assert rep.certified, (rep.params.describe(), target, rep.note)
+                    out.append(rep.dim_h1)
+            return out
+
+        generic = dims(Fraction(7, 1000000007))
+        lams = [Fraction(k, 4) for k in range(-16, 17)]
+        differing = {lam for lam in lams if dims(lam) != generic}
+        special = {lam for lam in lams if case_label(AlgebraParams(s, lam)) != "generic"}
+        assert differing == special

@@ -20,14 +20,13 @@ from svlie import (
     is_derivation,
     parse_element,
 )
+from svlie.algebra import C
 from svlie.derivations import (
     CatalogCaseError,
-    DeferredCaseError,
     case_label,
     support_degrees,
     table_from_json,
     table_to_json,
-    tensorized_algebra_family,
 )
 
 HALF = Fraction(1, 2)
@@ -47,17 +46,12 @@ CASES = [
 
 
 class TestCatalog:
-    @pytest.mark.parametrize("s,lam", CASES)
+    @pytest.mark.parametrize("s,lam", CASES + [(Fraction(0), Fraction(-3))])
     @pytest.mark.parametrize("central", [True, False])
     def test_families_are_derivations(self, s, lam, central):
         p = AlgebraParams(s, lam, central)
         for target in ("algebra", "tensor-square"):
-            try:
-                family = catalog_basis(p, target, W12)
-            except DeferredCaseError:
-                assert (s, lam) == (HALF, Fraction(0)) and target == "tensor-square"
-                continue
-            for table in family:
+            for table in catalog_basis(p, target, W12):
                 rep = is_derivation(table, p)
                 assert rep.ok, f"{table.name}: {rep.witness()}"
                 assert rep.checked > 0
@@ -95,6 +89,10 @@ class TestCatalog:
             ("0", "0", False): 6,
             ("0", "5", False): 0,
             ("1/2", "-1", False): 0,
+            ("1/2", "0", True): 12,
+            ("1/2", "0", False): 6,
+            ("0", "-3", True): 4,
+            ("0", "-3", False): 0,
         }
         for (s, lam, central), size in expected.items():
             p = AlgebraParams(Fraction(s), Fraction(lam), central)
@@ -148,13 +146,35 @@ class TestCatalog:
         with pytest.raises(CatalogCaseError):
             catalog(AlgebraParams(0, 0), "algebra", W12, params={"l_to_m_n3": 1})
 
-    def test_deferred_cases(self):
-        with pytest.raises(DeferredCaseError):
-            catalog_basis(AlgebraParams(0, -3), "algebra", W12)
-        with pytest.raises(DeferredCaseError):
-            catalog_basis(AlgebraParams(HALF, 0), "tensor-square", W12)
-        # but the half-sector zero row does carry an algebra family
-        assert len(catalog_basis(AlgebraParams(HALF, 0), "algebra", W12)) == 3
+    def test_minus_three_family(self):
+        p = AlgebraParams(0, -3)
+        ideal, y0 = catalog_basis(p, "algebra", W12)
+        assert (ideal.name, y0.name) == ("ideal_scale", "y0_to_c")
+        assert y0.values == {Y(0): Element.basis(C)}
+        assert [t.name for t in catalog_basis(p, "tensor-square", W12)] == [
+            "ideal_scale|left|c",
+            "ideal_scale|right|c",
+            "y0_to_c|left|c",
+            "y0_to_c|right|c",
+        ]
+        # y0_to_c sends Y[0] to c, so centerless rows leave it out
+        p = AlgebraParams(0, -3, central=False)
+        assert [t.name for t in catalog_basis(p, "algebra", W12)] == ["ideal_scale"]
+        assert catalog_basis(p, "tensor-square", W12) == []
+
+    def test_y0_to_c_fails_off_its_row(self):
+        # [L[1], Y[-1]] = -Y[0] at deformation -1, where Y[0] -> c breaks
+        (table,) = catalog(AlgebraParams(0, -3), "algebra", W12, params={"y0_to_c": 1})
+        rep = is_derivation(table, AlgebraParams(0, -1))
+        assert not rep.ok and rep.witness() is not None
+
+    @pytest.mark.parametrize("central", [True, False])
+    def test_no_catalog_holds_an_empty_table(self, central):
+        for s, lam in CASES + [(Fraction(0), Fraction(-3))]:
+            p = AlgebraParams(s, lam, central)
+            for target in ("algebra", "tensor-square"):
+                for table in catalog_basis(p, target, W12):
+                    assert not table.is_zero(), (p.describe(), table.name)
 
     def test_case_labels(self):
         assert case_label(AlgebraParams(0, -2)) == Fraction(-2)
@@ -169,11 +189,6 @@ class TestCatalog:
         assert not rep.ok
         g, h, lhs, rhs = rep.witness()
         assert lhs != rhs
-
-    def test_tensorized_family_matches_catalog_on_case_rows(self):
-        p = AlgebraParams(0, -2)
-        names = {t.name for t in tensorized_algebra_family(p, W12)}
-        assert names == {t.name for t in catalog_basis(p, "tensor-square", W12)}
 
 
 class TestInner:
