@@ -15,6 +15,7 @@ function.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -510,37 +511,78 @@ def check_jacobi(p: AlgebraParams, w: Window, bracket_fn=None) -> JacobiReport:
     The nested brackets are summed on the scaled table, so each residual
     is p.scale**2 times the true one; only a failing triple builds its
     residual Element.
+
+    The table is read once into a matrix over the positions of the window
+    generators: rows[a][b] holds [gens[a], gens[b]] as (position, coeff)
+    terms for every pair whose doubled degrees sum into the window.  A
+    product of degree dd(a) + dd(b) brackets with the third generator
+    inside the window sum of the triple, so its cell is there.  A product
+    off that degree or outside the window (only a bracket_fn can name
+    one) gets a position of its own and a full row.  The third generator
+    of (x, y) has its doubled degree in the interval the three window
+    conditions leave, and the generators of each kind are sorted by
+    degree, so bisect finds exactly the k > j that pass, in order.
     """
     table = bracket_table(p) if bracket_fn is None else BracketTable(p, bracket_fn)
     scale2 = p.scale**2
+    lo, hi = w.lo, w.hi
     gens = w.basis_indices(p)
+    n = len(gens)
+    dds = [g.dd for g in gens]
+    pos = {g: a for a, g in enumerate(gens)}
+
+    def cell(ga: BasisIndex, gb: BasisIndex) -> tuple:
+        return tuple((pos.setdefault(e, len(pos)), k) for e, k in table[ga, gb])
+
+    rows: list = [[None] * n for _ in range(n)]
+    odd = {}
+    for a in range(n):
+        for b in range(n):
+            if lo <= dds[a] + dds[b] <= hi:
+                rows[a][b] = cell(gens[a], gens[b])
+                for e, _ in rows[a][b]:
+                    if e >= n or dds[e] != dds[a] + dds[b]:
+                        odd[e] = None
+    keys = list(pos)
+    rows += [None] * (len(keys) - n)
+    for e in odd:
+        rows[e] = [cell(keys[e], gb) for gb in gens]
+    keys = list(pos)
+    starts = [a for a in range(n) if a == 0 or gens[a].kind != gens[a - 1].kind]
+    blocks = [(a, dds[a:b]) for a, b in zip(starts, starts[1:] + [n])]
     checked = 0
     failures = []
-    for i, gx in enumerate(gens):
-        for j in range(i + 1, len(gens)):
-            gy = gens[j]
-            if not w.contains_dd(gx.dd + gy.dd):
+    for i in range(n):
+        dx, row_x = dds[i], rows[i]
+        for j in range(i + 1, n):
+            dy = dds[j]
+            if not lo <= dx + dy <= hi:
                 continue
-            xy = table[gx, gy]
-            for k in range(j + 1, len(gens)):
-                gz = gens[k]
-                if not (
-                    w.contains_dd(gy.dd + gz.dd)
-                    and w.contains_dd(gx.dd + gz.dd)
-                    and w.contains_dd(gx.dd + gy.dd + gz.dd)
-                ):
+            xy, row_y = row_x[j], rows[j]
+            zlo = lo - min(dx, dy, dx + dy)
+            zhi = hi - max(dx, dy, dx + dy)
+            for start, block in blocks:
+                k0 = start + bisect_left(block, zlo)
+                if k0 <= j:
+                    k0 = j + 1
+                k1 = start + bisect_right(block, zhi)
+                if k0 >= k1:
                     continue
-                res: dict[BasisIndex, int] = {}
-                for inner, outer in (
-                    (xy, gz), (table[gy, gz], gx), (table[gz, gx], gy)
-                ):
-                    for e, k1 in inner:
-                        for f, k2 in table[e, outer]:
-                            res[f] = res.get(f, 0) + k1 * k2
-                checked += 1
-                if any(res.values()):
-                    residual = Element({f: Fraction(v, scale2) for f, v in res.items()})
-                    failures.append((gx, gy, gz, residual))
+                checked += k1 - k0
+                for k in range(k0, k1):
+                    res: dict[int, int] = {}
+                    for e, c in xy:
+                        for f, c2 in rows[e][k]:
+                            res[f] = res.get(f, 0) + c * c2
+                    for e, c in row_y[k]:
+                        for f, c2 in rows[e][i]:
+                            res[f] = res.get(f, 0) + c * c2
+                    for e, c in rows[k][i]:
+                        for f, c2 in rows[e][j]:
+                            res[f] = res.get(f, 0) + c * c2
+                    if res and any(res.values()):
+                        residual = Element({keys[f]: Fraction(v, scale2) for f, v in res.items()})
+                        failures.append((gens[i], gens[j], gens[k], residual))
     return JacobiReport(p, w, checked, failures)
 
 

@@ -1,20 +1,24 @@
 """Integer-table Jacobi and derivation checks against the Fraction checks.
 
 The reference keeps the checks the integer structure-constant table
-replaces: an `Element` per generator, `bracket` on every nested product
-and `Fraction` arithmetic on every triple and pair, with the derivation
-identity compared on `bracket` values, slot by slot on tensors.  Both
-must report the same `checked` and `skipped` counts and the same failure
-and violation lists, witness values included.
+replaces: an `Element` per generator, a `Fraction` bracket on every
+nested product and `Fraction` arithmetic on every triple and pair, with
+the derivation identity compared on bracket values, slot by slot on
+tensors.  Its generator brackets are read off `bracket_int` and memoized
+per (a, b, p), apart from `BracketTable`.  Both must report the same
+`checked` and `skipped` counts and the same failure and violation lists,
+witness values included.
 """
 
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from svlie.algebra import (
+    C,
     AlgebraParams,
     BasisIndex,
     Element,
@@ -24,6 +28,7 @@ from svlie.algebra import (
     M,
     Y,
     bracket,
+    bracket_int,
     bracket_table,
     check_jacobi,
 )
@@ -56,13 +61,39 @@ ROWS = [
     (Fraction(0), Fraction(-5, 3)),
 ]
 
-JACOBI_WINDOWS = [Window.symmetric(4), Window.symmetric(8), Window(-4, 8)]
-DERIVATION_WINDOWS = [Window.symmetric(6), Window.symmetric(10), Window(-4, 8)]
+# the odd and one-sided windows bind the three window conditions of a
+# triple differently
+JACOBI_WINDOWS = [
+    Window.symmetric(3),
+    Window.symmetric(4),
+    Window.symmetric(8),
+    Window(-4, 8),
+    Window(0, 7),
+    Window(-9, 2),
+]
+DERIVATION_WINDOWS = [Window.symmetric(6), Window.symmetric(10), Window(-4, 8), Window(-10, 0)]
+
+
+@lru_cache(maxsize=None)
+def basis_bracket(a, b, p):
+    """[a, b] as (key, Fraction) terms, read off bracket_int, memoized per
+    (a, b, p)."""
+    return tuple((e, Fraction(k, p.scale)) for e, k in bracket_int(a, b, p))
+
+
+def frac_bracket(x, y, p):
+    """The bilinear extension of basis_bracket, in Fractions."""
+    out = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            for e, k in basis_bracket(a, b, p):
+                out[e] = out.get(e, 0) + ca * cb * k
+    return Element(out)
 
 
 def reference_check_jacobi(p, w, bracket_fn=None):
     """The Fraction Jacobi check: (checked, failures)."""
-    brk = bracket_fn or (lambda x, y: bracket(x, y, p))
+    brk = bracket_fn or (lambda x, y: frac_bracket(x, y, p))
     gens = w.basis_indices(p)
     checked = 0
     failures = []
@@ -94,16 +125,15 @@ def reference_check_jacobi(p, w, bracket_fn=None):
 
 
 def _act(g, val, p):
-    """g . val from `bracket` alone: the Leibniz rule on both slots of a
-    Tensor2."""
-    x = Element.basis(g)
+    """g . val from `basis_bracket` alone: the Leibniz rule on both slots
+    of a Tensor2."""
     if not isinstance(val, Tensor2):
-        return bracket(x, val, p)
+        return frac_bracket(Element.basis(g), val, p)
     out = {}
     for (a, b), c in val.items():
-        for e, k in bracket(x, Element.basis(a), p).items():
+        for e, k in basis_bracket(g, a, p):
             out[e, b] = out.get((e, b), 0) + c * k
-        for e, k in bracket(x, Element.basis(b), p).items():
+        for e, k in basis_bracket(g, b, p):
             out[a, e] = out.get((a, e), 0) + c * k
     return Tensor2(out)
 
@@ -125,7 +155,7 @@ def reference_is_derivation(D, p):
     violations = []
     for i, g in enumerate(gens):
         for h in gens[i + 1:]:
-            br = bracket(Element.basis(g), Element.basis(h), p)
+            br = Element(dict(basis_bracket(g, h, p)))
             if any(not w.contains(e) for e in br.terms):
                 skipped += 1
                 continue
@@ -229,9 +259,25 @@ def test_jacobi_bilinear_corruption_matches_reference():
         assert not rep.ok
 
 
+def bilinear(hook):
+    """hook read on basis pairs only and extended bilinearly."""
+
+    def extended(x, y):
+        out = Element()
+        for a, ca in x.items():
+            for b, cb in y.items():
+                out = out + hook(Element.basis(a), Element.basis(b)).scaled(ca * cb)
+        return out
+
+    return extended
+
+
 def test_jacobi_hook_is_read_on_generator_pairs():
     """A hook that is not bilinear (the corruption used in test_algebra) is
-    read on basis pairs and extended bilinearly."""
+    read on basis pairs and extended bilinearly.  A hook product outside
+    the window (L[9]), off the degree of its pair (L[-3]), or c on a
+    centerless row is bracketed with the third generator like any other
+    product."""
     p = AlgebraParams(0, 5)
 
     def corrupted(x, y):
@@ -240,17 +286,38 @@ def test_jacobi_hook_is_read_on_generator_pairs():
             out = out + Element.basis(M(2))
         return out
 
-    def bilinear(x, y):
-        out = Element()
-        for a, ca in x.items():
-            for b, cb in y.items():
-                out = out + corrupted(Element.basis(a), Element.basis(b)).scaled(ca * cb)
-        return out
-
     rep = assert_jacobi_matches(
-        p, Window.symmetric(6), bracket_fn=corrupted, reference_fn=bilinear
+        p, Window.symmetric(6), bracket_fn=corrupted, reference_fn=bilinear(corrupted)
     )
     assert not rep.ok
+
+    w = Window.symmetric(6)
+    for central in (True, False):
+        q = AlgebraParams(0, 5, central)
+
+        def off_window(x, y):
+            out = bracket(x, y, q)
+            if x.coeff(L(1)) and y.coeff(L(2)):
+                out = out + Element({L(9): 1, L(-3): 1})
+            if x.coeff(L(1)) and y.coeff(M(-1)):
+                out = out + Element({C: 3})
+            if x.coeff(C) and y.coeff(L(0)):
+                out = out + Element.basis(M(0))
+            return out
+
+        rep = assert_jacobi_matches(
+            q, w, bracket_fn=off_window, reference_fn=bilinear(off_window)
+        )
+        assert any(not w.contains(f) for *_, res in rep.failures for f in res.terms)
+        assert any(gz == M(0) for _, _, gz, _ in rep.failures)
+
+
+def test_jacobi_count_at_the_window_cap():
+    """The only check at the CLI window cap, where the Fraction reference
+    is too slow: every triple i < j < k whose pair and triple sums stay in
+    the window is counted."""
+    rep = check_jacobi(AlgebraParams(0, Fraction(-5, 3)), Window.symmetric(64))
+    assert rep.ok and rep.checked == 522120
 
 
 @pytest.mark.parametrize("s,lam", ROWS)
@@ -263,6 +330,10 @@ def test_catalog_derivations_match_reference(s, lam):
                 rep = assert_derivation_matches(table, p)
                 assert rep.ok and rep.checked > 0
                 bad = assert_derivation_matches(perturbed(table, rng), p)
+                if w.lo == 0 or w.hi == 0:
+                    # no pair of opposite degrees: at lambda = 0 nothing
+                    # checked there fixes the values at L[0] and M[0]
+                    continue
                 # moving the one coefficient of y0_to_c (Y[0] -> c) only
                 # rescales it, which leaves a derivation
                 assert bad.ok == (sum(len(v.terms) for v in table.values.values()) == 1)
