@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .algebra import (
     AlgebraParams,
     BasisIndex,
-    Element,
+    L,
     Window,
     action_kernel,
     bracket_table,
@@ -41,7 +41,6 @@ __all__ = [
     "LinearSystem",
     "assemble",
     "solve_h1",
-    "kernel_tables",
     "inner_vectors",
     "paper_table_regression",
     "verify_center_tensor_identity",
@@ -53,25 +52,15 @@ CENTER_TENSOR = "center-tensor"
 
 TargetKey = Union[BasisIndex, tuple[BasisIndex, BasisIndex]]
 
-# Source kinds that can feed a result kind under the bracket with an actor
-# kind; used to decide whether an equation row is exactly representable.
-_FEEDERS = {
-    ("L", "L"): ("L",),
-    ("L", "M"): ("M",),
-    ("L", "Y"): ("Y",),
-    ("L", "c"): ("L",),
-    ("M", "M"): ("L",),
-    ("Y", "Y"): ("L",),
-    ("Y", "M"): ("Y",),
-}
-
-
-def _parity_ok(kind: str, dd: int, s2: int) -> bool:
-    if kind in ("L", "M"):
-        return dd % 2 == 0
-    if kind == "Y":
-        return dd % 2 == s2 % 2
-    return dd == 0
+# (actor kind, result kind) pairs for which [actor, x] can have the
+# result kind.  A tensor row is exactly representable when both legs lie
+# in the window and, for each leg res whose other leg is central (every
+# leg on the raw tensor square), every feeding actor has
+# lo <= res.dd - actor.dd <= hi: the feeder x then lies in the window.
+_FEEDERS = frozenset({
+    ("L", "L"), ("L", "M"), ("L", "Y"), ("L", "c"), ("M", "M"), ("Y", "Y"),
+    ("Y", "M"),
+})
 
 
 def _gen_order(g: BasisIndex):
@@ -186,35 +175,17 @@ def assemble(
     gens = sorted(w.basis_indices(p), key=_gen_order)
     slice_keys: dict[BasisIndex, list[TargetKey]] = {}
     labels: list[tuple[BasisIndex, TargetKey]] = []
+    # (label id, key) per generator: its labels are contiguous, and the
+    # rows share these int objects
+    slots: dict[BasisIndex, list[tuple[int, TargetKey]]] = {}
     for g in gens:
         keys = _slice_keys(p, base, w, g.dd + shift, center_set)
         slice_keys[g] = keys
-        for t in keys:
-            labels.append((g, t))
+        slots[g] = list(enumerate(keys, len(labels)))
+        labels.extend((g, t) for t in keys)
     index = {lab: i for i, lab in enumerate(labels)}
 
-    s2 = p.s2
-    win = w
-
-    def tensor_row_ok(g: BasisIndex, h: BasisIndex, t: tuple) -> bool:
-        t1, t2 = t
-        if not (win.contains(t1) and win.contains(t2)):
-            return False
-        for actor in (g, h):
-            ak = actor.kind
-            add = actor.dd
-            for res, other in ((t1, t2), (t2, t1)):
-                for sk in _FEEDERS.get((ak, res.kind), ()):
-                    dd_a = res.dd - add
-                    if not _parity_ok(sk, dd_a, s2):
-                        continue
-                    if center_set is not None:
-                        a = BasisIndex(sk, dd_a)
-                        if a not in center_set and other not in center_set:
-                            continue
-                    if not win.contains_dd(dd_a):
-                        return False
-        return True
+    lo, hi = w.lo, w.hi
 
     table = bracket_table(p)
     rows: list[dict[int, int]] = []
@@ -240,16 +211,27 @@ def assemble(
     for g, h in pairs:
         br = table[g, h]
         if br:
-            if any(not win.contains(e) for e, _ in br):
+            if any(not w.contains(e) for e, _ in br):
                 continue
             if base == ALGEBRA and any(
-                not win.contains_dd(e.dd + shift) for e, _ in br
+                not w.contains_dd(e.dd + shift) for e, _ in br
             ):
                 continue
         if base == ALGEBRA and not (
-            win.contains_dd(g.dd + shift) and win.contains_dd(h.dd + shift)
+            w.contains_dd(g.dd + shift) and w.contains_dd(h.dd + shift)
         ):
             continue
+        if base != ALGEBRA:
+            # the degree interval a leg of each kind must lie in when the
+            # feeder rule applies to it
+            bounds = {}
+            for kind in "LMYc":
+                least, most = lo, hi
+                for actor in (g, h):
+                    if (actor.kind, kind) in _FEEDERS:
+                        least = max(least, lo + actor.dd)
+                        most = min(most, hi + actor.dd)
+                bounds[kind] = (least, most)
         block: dict[TargetKey, dict[int, int]] = {}
 
         def add(t: TargetKey, lab: int, coeff: int) -> None:
@@ -257,13 +239,12 @@ def assemble(
             cell[lab] = cell.get(lab, 0) + coeff
 
         for e, k in br:
-            for t in slice_keys.get(e, ()):
-                add(t, index[(e, t)], k)
+            for lab, t in slots[e]:
+                add(t, lab, k)
         for actor, source, sign in ((g, h, -1), (h, g, 1)):
             # BracketTable.act written out: a call per key made the
             # h1-cases benchmark about 23% slower
-            for t in slice_keys[source]:
-                lab = index[(source, t)]
+            for lab, t in slots[source]:
                 if base == ALGEBRA:
                     for e, k in table[actor, t]:
                         add(e, lab, sign * k)
@@ -277,8 +258,18 @@ def assemble(
             expr = {lab: c for lab, c in block[t].items() if c}
             if not expr:
                 continue
-            if base != ALGEBRA and not tensor_row_ok(g, h, t):
-                continue
+            if base != ALGEBRA:
+                t1, t2 = t
+                a1, b1 = (
+                    bounds[t1.kind]
+                    if center_set is None or t2 in center_set else (lo, hi)
+                )
+                a2, b2 = (
+                    bounds[t2.kind]
+                    if center_set is None or t1 in center_set else (lo, hi)
+                )
+                if not (a1 <= t1.dd <= b1 and a2 <= t2.dd <= b2):
+                    continue
             # expr is the row times p.scale; this is int_row(expr / p.scale)
             den = gcd(p.scale, *expr.values())
             rows.append({lab: c // den for lab, c in expr.items()})
@@ -321,19 +312,6 @@ def table_to_vector(system: LinearSystem, table: DerivationTable) -> dict[int, F
             if lab is not None:
                 vec[lab] = vec.get(lab, Fraction(0)) + coeff
     return {k: c for k, c in vec.items() if c}
-
-
-def vector_to_table(system: LinearSystem, vec: dict[int, Fraction], name: str = "") -> DerivationTable:
-    base = TENSOR if system.target == CENTER_TENSOR else system.target
-    values: dict[BasisIndex, dict] = {}
-    for lab, coeff in vec.items():
-        g, t = system.labels[lab]
-        values.setdefault(g, {})[t] = coeff
-    built = {
-        g: (Element(terms) if base == ALGEBRA else Tensor2(terms))
-        for g, terms in values.items()
-    }
-    return DerivationTable(base, system.alpha, system.window, built, name=name)
 
 
 @dataclass
@@ -391,6 +369,18 @@ def _restricted(vec: dict[int, Fraction], keep: frozenset) -> dict[int, int]:
     return int_row({k: v for k, v in vec.items() if k in keep})
 
 
+def _elimination_order(system: LinearSystem) -> list[dict[int, int]]:
+    """The rows in the order solve_h1 inserts them: at a nonzero degree
+    the rows of the pairs that contain L[0] first, otherwise as assembled."""
+    if not system.alpha:
+        return system.rows
+    l0 = L(0)
+    pairs = list(zip(system.rows, system.provenance))
+    return [row for row, (g, h, _) in pairs if l0 in (g, h)] + [
+        row for row, (g, h, _) in pairs if l0 not in (g, h)
+    ]
+
+
 def solve_h1(
     p: AlgebraParams,
     target: str,
@@ -414,6 +404,11 @@ def solve_h1(
     support; see the README).  The tensor-square target is therefore
     solved on the center-legged submodule, whose slices are finite and
     faithful; the unreduced system remains available through assemble().
+
+    At a nonzero degree alpha the rows of the pairs that contain L[0] are
+    eliminated first: they read alpha D(h) = [h, D(L[0])], so every D(h)
+    pivots onto the few D(L[0]) unknowns.  At degree 0 the D(h) term
+    cancels from those rows, and the assembly order is kept.
     """
     solve_target = CENTER_TENSOR if target == TENSOR else target
     method = "center-reduced" if target == TENSOR else "full-window"
@@ -423,7 +418,7 @@ def solve_h1(
         )
     sys_ = system if system is not None else assemble(p, solve_target, alpha, w)
     ech = RowEchelon()
-    for row in sys_.rows:
+    for row in _elimination_order(sys_):
         ech.insert(row)
 
     interior = frozenset(sys_.interior_ids())
@@ -476,17 +471,6 @@ def solve_h1(
         tables,
         note,
     )
-
-
-def kernel_tables(system: LinearSystem) -> list[DerivationTable]:
-    """Full kernel basis as tables; intended for small windows."""
-    ech = RowEchelon()
-    for row in system.rows:
-        ech.insert(row)
-    out = []
-    for k, vec in enumerate(ech.kernel_basis(system.n_unknowns)):
-        out.append(vector_to_table(system, vec, name=f"kernel-{k}"))
-    return out
 
 
 # ---------------------------------------------------------------------------

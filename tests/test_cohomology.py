@@ -19,15 +19,47 @@ from svlie import (
 )
 from svlie.cohomology import (
     CENTER_TENSOR,
+    _elimination_order,
     inner_vectors,
-    kernel_tables,
     table_to_vector,
-    vector_to_table,
 )
-from svlie.derivations import case_label, catalog_basis, homogeneous_component
+from svlie.derivations import (
+    ALGEBRA,
+    TENSOR,
+    DerivationTable,
+    case_label,
+    catalog_basis,
+    homogeneous_component,
+)
 from svlie.linalg import RowEchelon, int_row
+from svlie.tensors import Tensor2
 
 HALF = Fraction(1, 2)
+
+
+def vector_to_table(system, vec, name=""):
+    """The table with coordinates vec in the unknown space of system."""
+    base = TENSOR if system.target == CENTER_TENSOR else system.target
+    values = {}
+    for lab, coeff in vec.items():
+        g, t = system.labels[lab]
+        values.setdefault(g, {})[t] = coeff
+    built = {
+        g: (Element(terms) if base == ALGEBRA else Tensor2(terms))
+        for g, terms in values.items()
+    }
+    return DerivationTable(base, system.alpha, system.window, built, name=name)
+
+
+def kernel_tables(system):
+    """Full kernel basis as tables; intended for small windows."""
+    ech = RowEchelon()
+    for row in system.rows:
+        ech.insert(row)
+    return [
+        vector_to_table(system, vec, name=f"kernel-{k}")
+        for k, vec in enumerate(ech.kernel_basis(system.n_unknowns))
+    ]
 
 
 def residual_is_zero(system, vec):
@@ -88,16 +120,26 @@ class TestAssemble:
 
     def test_rank_is_row_order_independent(self):
         # the pinned insertion order is a reproducibility contract, not a
-        # correctness requirement
-        p = AlgebraParams(0, 1)
-        sys_ = assemble(p, CENTER_TENSOR, 0, Window.symmetric(10))
-        forward = RowEchelon()
-        for row in sys_.rows:
-            forward.insert(dict(row))
-        backward = RowEchelon()
-        for row in reversed(sys_.rows):
-            backward.insert(dict(row))
-        assert forward.rank == backward.rank
+        # correctness requirement; solve_h1 eliminates the L[0] rows first
+        # at nonzero degrees
+        w = Window.symmetric(10)
+        cases = [(AlgebraParams(0, 1), CENTER_TENSOR, 0)] + [
+            (AlgebraParams(HALF, -1), target, alpha)
+            for target in ("algebra", CENTER_TENSOR)
+            for alpha in (2, -HALF)
+        ]
+        for p, target, alpha in cases:
+            sys_ = assemble(p, target, alpha, w)
+            order = _elimination_order(sys_)
+            assert sorted(map(id, order)) == sorted(map(id, sys_.rows))
+            assert (order != sys_.rows) == (alpha != 0)
+            ranks = set()
+            for rows in (sys_.rows, reversed(sys_.rows), order):
+                ech = RowEchelon()
+                for row in rows:
+                    ech.insert(dict(row))
+                ranks.add(ech.rank)
+            assert len(ranks) == 1, (p, target, alpha)
 
 
 class TestSolverExactness:

@@ -3,9 +3,11 @@
 The reference keeps the assembly the integer table replaces: every
 coefficient read from `bracket_int` as a `Fraction` over `p.scale`, equation rows
 summed in `Fraction`s and cleared by `int_row`, target keys enumerated by
-a scan over degree pairs, and the window center computed again for the
-inner vectors.  The systems built on either path must agree exactly:
-labels, rows, provenance, index, slice keys and the inner vectors.
+a scan over degree pairs, tensor rows filtered by the feeder-kind and
+parity rule rather than by a degree interval, and the window center
+computed again for the inner vectors.  The systems built on either path
+must agree exactly: labels, rows, provenance, index, slice keys and the
+inner vectors.
 
 The generating-set tests compare the rows `assemble` keeps with every
 pair's rows, obtained by patching `generating_set` to return every window
@@ -13,6 +15,7 @@ generator.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -30,12 +33,10 @@ from svlie.algebra import (
 )
 from svlie import cohomology
 from svlie.cohomology import (
-    _FEEDERS,
     CASE_ROWS,
     CENTER_TENSOR,
     _center_index_set,
     _gen_order,
-    _parity_ok,
     assemble,
     inner_vectors,
     solve_h1,
@@ -67,10 +68,34 @@ DEGREES = [Fraction(0), HALF, -HALF, Fraction(2), Fraction(-2)]
 TARGETS = [ALGEBRA, CENTER_TENSOR, TENSOR]
 
 
+@lru_cache(maxsize=None)
 def frac_bracket(a, b, p):
     """The generator bracket as (index, Fraction) pairs, read off
-    bracket_int directly rather than through a table."""
-    return [(e, Fraction(k, p.scale)) for e, k in bracket_int(a, b, p)]
+    bracket_int directly rather than through a table, memoized per
+    (a, b, p)."""
+    return tuple((e, Fraction(k, p.scale)) for e, k in bracket_int(a, b, p))
+
+
+# The row filter as first written: the source kinds that can feed a result
+# kind under the bracket with an actor kind, and the parity a source of
+# each kind must have.  assemble tests the same rule as a degree interval.
+FEEDERS = {
+    ("L", "L"): ("L",),
+    ("L", "M"): ("M",),
+    ("L", "Y"): ("Y",),
+    ("L", "c"): ("L",),
+    ("M", "M"): ("L",),
+    ("Y", "Y"): ("L",),
+    ("Y", "M"): ("Y",),
+}
+
+
+def parity_ok(kind, dd, s2):
+    if kind in ("L", "M"):
+        return dd % 2 == 0
+    if kind == "Y":
+        return dd % 2 == s2 % 2
+    return dd == 0
 
 
 def reference_slice_keys(p, base, w, dd, center_set):
@@ -121,9 +146,9 @@ def reference_assemble(p, target, alpha, w):
             return False
         for actor in (g, h):
             for res, other in ((t1, t2), (t2, t1)):
-                for sk in _FEEDERS.get((actor.kind, res.kind), ()):
+                for sk in FEEDERS.get((actor.kind, res.kind), ()):
                     dd_a = res.dd - actor.dd
-                    if not _parity_ok(sk, dd_a, p.s2):
+                    if not parity_ok(sk, dd_a, p.s2):
                         continue
                     if center_set is not None:
                         a = BasisIndex(sk, dd_a)
@@ -223,6 +248,25 @@ def test_assemble_matches_fraction_reference(s, lam):
                     assert inner_vectors(system) == reference_inner_vectors(
                         p, target, alpha, w, index, gens, center
                     ), case
+
+
+ONE_SIDED = [Window(0, 6), Window(-6, 0)]
+
+
+@pytest.mark.parametrize("s,lam", ROWS, ids=[f"{s}:{lam}" for s, lam in ROWS])
+def test_tensor_row_filter_on_one_sided_windows(s, lam):
+    """On one-sided windows the feeders of many legs leave the window:
+    the interval filter keeps the rows the feeder rule keeps."""
+    for central in (True, False):
+        p = AlgebraParams(s, lam, central)
+        for target in (CENTER_TENSOR, TENSOR):
+            for alpha in (Fraction(0), Fraction(2), Fraction(-2)):
+                for w in ONE_SIDED:
+                    case = (p, target, alpha, w)
+                    system = assemble(p, target, alpha, w)
+                    _, _, rows, prov, _, _, _ = reference_assemble(p, target, alpha, w)
+                    assert system.rows == rows, case
+                    assert system.provenance == prov, case
 
 
 def _rank(rows):
