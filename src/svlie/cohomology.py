@@ -408,7 +408,9 @@ def solve_h1(
     At a nonzero degree alpha the rows of the pairs that contain L[0] are
     eliminated first: they read alpha D(h) = [h, D(L[0])], so every D(h)
     pivots onto the few D(L[0]) unknowns.  At degree 0 the D(h) term
-    cancels from those rows, and the assembly order is kept.
+    cancels from those rows and elimination takes as long in either
+    order, so the assembly order is kept and the reorder's cost saved
+    (BENCH_13.json, "order_checks").
     """
     solve_target = CENTER_TENSOR if target == TENSOR else target
     method = "center-reduced" if target == TENSOR else "full-window"

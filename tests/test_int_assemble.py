@@ -226,13 +226,12 @@ def reference_inner_vectors(p, target, alpha, w, index, gens, center_set):
     return out
 
 
-@pytest.mark.parametrize("s,lam", ROWS, ids=[f"{s}:{lam}" for s, lam in ROWS])
-def test_assemble_matches_fraction_reference(s, lam):
+def assert_matches_reference(s, lam, targets, degrees, windows):
     for central in (True, False):
         p = AlgebraParams(s, lam, central)
-        for target in TARGETS:
-            for alpha in DEGREES:
-                for w in WINDOWS:
+        for target in targets:
+            for alpha in degrees:
+                for w in windows:
                     case = (p, target, alpha, w)
                     system = assemble(p, target, alpha, w)
                     labels, index, rows, prov, gens, keys, center = (
@@ -250,23 +249,22 @@ def test_assemble_matches_fraction_reference(s, lam):
                     ), case
 
 
-ONE_SIDED = [Window(0, 6), Window(-6, 0)]
+@pytest.mark.parametrize("s,lam", ROWS, ids=[f"{s}:{lam}" for s, lam in ROWS])
+def test_assemble_matches_fraction_reference(s, lam):
+    assert_matches_reference(s, lam, TARGETS, DEGREES, WINDOWS)
 
 
 @pytest.mark.parametrize("s,lam", ROWS, ids=[f"{s}:{lam}" for s, lam in ROWS])
 def test_tensor_row_filter_on_one_sided_windows(s, lam):
     """On one-sided windows the feeders of many legs leave the window:
     the interval filter keeps the rows the feeder rule keeps."""
-    for central in (True, False):
-        p = AlgebraParams(s, lam, central)
-        for target in (CENTER_TENSOR, TENSOR):
-            for alpha in (Fraction(0), Fraction(2), Fraction(-2)):
-                for w in ONE_SIDED:
-                    case = (p, target, alpha, w)
-                    system = assemble(p, target, alpha, w)
-                    _, _, rows, prov, _, _, _ = reference_assemble(p, target, alpha, w)
-                    assert system.rows == rows, case
-                    assert system.provenance == prov, case
+    assert_matches_reference(
+        s,
+        lam,
+        (CENTER_TENSOR, TENSOR),
+        (Fraction(0), Fraction(2), Fraction(-2)),
+        (Window(0, 6), Window(-6, 0)),
+    )
 
 
 def _rank(rows):
