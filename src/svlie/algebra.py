@@ -619,6 +619,8 @@ def action_kernel(
         raise ValueError("arity must be 1 or 2")
     rows: dict[tuple, dict[int, int]] = {}
     for g in generating_set(p, w):
+        if g == L(0):
+            continue  # L[0] multiplies the degree-0 slice by 0: empty rows
         for col, key in enumerate(keys):
             # BracketTable.act written out: a call per key made the
             # kernels benchmark about 30% slower

@@ -161,6 +161,12 @@ def assemble(
     tensor-square target, only the pairs with a side in
     algebra.generating_set are kept: the same row space, with fewer rows
     (README, "Generating-set rows").
+
+    Only work that can reach a row is done.  At degree 0, [L0, x] =
+    deg(x) x and L0 multiplies every key of D(x) by deg(x), so in the pair
+    of L0 and x the terms D([L0, x]) and L0 . D(x) cancel and only x
+    acting on D(L0) is summed.  A pair whose generators and bracket terms
+    all have empty slices builds no block and is skipped.
     """
     if target not in (ALGEBRA, TENSOR, CENTER_TENSOR):
         raise ValueError(f"unknown target {target!r}")
@@ -186,79 +192,81 @@ def assemble(
     index = {lab: i for i, lab in enumerate(labels)}
 
     lo, hi = w.lo, w.hi
+    on_algebra = base == ALGEBRA
+    # per generator and leg kind, the degree interval a leg must lie in
+    # when the feeder rule applies to it with that generator acting
+    reach = {
+        g: {
+            kind: (max(lo, lo + g.dd), min(hi, hi + g.dd))
+            if (g.kind, kind) in _FEEDERS else (lo, hi)
+            for kind in "LMYc"
+        }
+        for g in gens
+    }
 
     table = bracket_table(p)
     rows: list[dict[int, int]] = []
     provenance: list[tuple[BasisIndex, BasisIndex, TargetKey]] = []
-
-    def pair_sort_key(pair):
-        g, h = pair
-        return (
-            max(abs(g.dd), abs(h.dd)),
-            abs(g.dd) + abs(h.dd),
-            g,
-            h,
-        )
 
     kept = None if target == TENSOR else frozenset(generating_set(p, w))
     pairs = []
     for i, g in enumerate(gens):
         for h in gens[i + 1 :]:
             if kept is None or g in kept or h in kept:
-                pairs.append((g, h))
-    pairs.sort(key=pair_sort_key)
+                dg, dh = abs(g.dd), abs(h.dd)
+                pairs.append((max(dg, dh), dg + dh, g, h))
+    pairs.sort()
 
-    for g, h in pairs:
+    l0 = L(0)
+    for _, _, g, h in pairs:
         br = table[g, h]
-        if br:
-            if any(not w.contains(e) for e, _ in br):
-                continue
-            if base == ALGEBRA and any(
-                not w.contains_dd(e.dd + shift) for e, _ in br
-            ):
-                continue
-        if base == ALGEBRA and not (
-            w.contains_dd(g.dd + shift) and w.contains_dd(h.dd + shift)
+        # every term of [g, h] has doubled degree g.dd + h.dd
+        dd = g.dd + h.dd
+        if br and not lo <= dd <= hi:
+            continue
+        if on_algebra and not (
+            lo <= g.dd + shift <= hi
+            and lo <= h.dd + shift <= hi
+            and (not br or lo <= dd + shift <= hi)
         ):
             continue
-        if base != ALGEBRA:
-            # the degree interval a leg of each kind must lie in when the
-            # feeder rule applies to it
-            bounds = {}
-            for kind in "LMYc":
-                least, most = lo, hi
-                for actor in (g, h):
-                    if (actor.kind, kind) in _FEEDERS:
-                        least = max(least, lo + actor.dd)
-                        most = min(most, hi + actor.dd)
-                bounds[kind] = (least, most)
+        if not (slots[g] or slots[h] or any(slots[e] for e, _ in br)):
+            continue
+        if shift == 0 and (g == l0 or h == l0):
+            # D([L0, x]) and L0 . D(x) cancel: only x acting on D(L0) is left
+            br = ()
+            actors = ((h, g, 1),) if g == l0 else ((g, h, -1),)
+        else:
+            actors = ((g, h, -1), (h, g, 1))
         block: dict[TargetKey, dict[int, int]] = {}
-
-        def add(t: TargetKey, lab: int, coeff: int) -> None:
-            cell = block.setdefault(t, {})
-            cell[lab] = cell.get(lab, 0) + coeff
-
         for e, k in br:
+            # the first entries of the block: each (t, lab) is new
             for lab, t in slots[e]:
-                add(t, lab, k)
-        for actor, source, sign in ((g, h, -1), (h, g, 1)):
+                block.setdefault(t, {})[lab] = k
+        for actor, source, sign in actors:
             # BracketTable.act written out: a call per key made the
             # h1-cases benchmark about 23% slower
             for lab, t in slots[source]:
-                if base == ALGEBRA:
+                if on_algebra:
                     for e, k in table[actor, t]:
-                        add(e, lab, sign * k)
-                else:
-                    a, b = t
-                    for e, k in table[actor, a]:
-                        add((e, b), lab, sign * k)
-                    for e, k in table[actor, b]:
-                        add((a, e), lab, sign * k)
-        for t in sorted(block):
-            expr = {lab: c for lab, c in block[t].items() if c}
-            if not expr:
-                continue
-            if base != ALGEBRA:
+                        cell = block.setdefault(e, {})
+                        cell[lab] = cell.get(lab, 0) + sign * k
+                    continue
+                a, b = t
+                for e, k in table[actor, a]:
+                    cell = block.setdefault((e, b), {})
+                    cell[lab] = cell.get(lab, 0) + sign * k
+                for e, k in table[actor, b]:
+                    cell = block.setdefault((a, e), {})
+                    cell[lab] = cell.get(lab, 0) + sign * k
+        if not on_algebra:
+            rg, rh = reach[g], reach[h]
+            bounds = {
+                kind: (max(rg[kind][0], rh[kind][0]), min(rg[kind][1], rh[kind][1]))
+                for kind in "LMYc"
+            }
+        for t, expr in sorted(block.items()):
+            if not on_algebra:
                 t1, t2 = t
                 a1, b1 = (
                     bounds[t1.kind]
@@ -269,6 +277,10 @@ def assemble(
                     if center_set is None or t1 in center_set else (lo, hi)
                 )
                 if not (a1 <= t1.dd <= b1 and a2 <= t2.dd <= b2):
+                    continue
+            if 0 in expr.values():
+                expr = {lab: c for lab, c in expr.items() if c}
+                if not expr:
                     continue
             # expr is the row times p.scale; this is int_row(expr / p.scale)
             den = gcd(p.scale, *expr.values())

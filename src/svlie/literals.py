@@ -166,10 +166,11 @@ def parse_tensor2(source: Union[str, Iterable[str]]) -> Tensor2:
     """Parse a two-tensor from a single literal or from r-matrix lines.
 
     A string is parsed as one '+/-'-joined literal unless it contains
-    newlines, in which case it is split into file-format lines.
+    "\n", in which case it is cut at each "\n" into file-format lines, so
+    its diagnostics read as those of the same lines passed as a list.
     """
     if isinstance(source, str):
-        lines = source.splitlines() if "\n" in source else [source]
+        lines = source.split("\n") if "\n" in source else [source]
     else:
         lines = list(source)
     terms: dict = {}

@@ -5,11 +5,17 @@ result the character-at-a-time scanner gave for each: the sorted terms,
 or the line, column, message and token of the ``ParseDiagnostic``.  See
 ``tests/data/make_literal_corpus.py`` for how it was made.
 
-The one recorded difference is the digit rule: only ASCII ``0-9`` are
+The first recorded difference is the digit rule: only ASCII ``0-9`` are
 digits now.  Inputs with other Unicode digits (``²``, ``٣``) and integers
 longer than ``int`` accepts used to raise a bare ``ValueError`` or, for
 ``٣``, to parse; each of them now gives its recorded result or a
 ``LiteralError``.
+
+The second is the line split of ``parse_tensor2``: a string is cut at
+"\n" only, as a list of file lines is, where the scanner also cut it at
+"\r" and the other ``str.splitlines`` breaks.  Three pins changed their
+token and kept their line, column and message: ``'(x)\r0212\t\n#/L/'``,
+``'\n12\r.12[QL[0]c'`` and ``']\t\rQ0\nY3 '``.
 """
 
 import json

@@ -147,6 +147,21 @@ class TestParseTensor:
         assert diag.line == 3
         assert diag.column == 12  # position of '@' in the original line
 
+    @pytest.mark.parametrize(
+        "sep",
+        ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    )
+    def test_string_and_lines_give_the_same_diagnostic(self, sep):
+        # only "\n" ends a line of a string; every other line break is a
+        # character of its line, as it is in a list of lines
+        lines = ["1 * L[0] (x) L[1]", f"L[0] (x) L[1]{sep}junk", ""]
+        with pytest.raises(LiteralError) as as_string:
+            parse_tensor2("\n".join(lines))
+        with pytest.raises(LiteralError) as as_lines:
+            parse_tensor2(lines)
+        assert as_string.value.diagnostic == as_lines.value.diagnostic
+        assert (as_lines.value.diagnostic.line, as_lines.value.diagnostic.column) == (2, 14)
+
     def test_file_lines_round_trip(self):
         t = Tensor2(
             {
