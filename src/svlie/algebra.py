@@ -29,6 +29,7 @@ __all__ = [
     "Element",
     "InvalidIndexError",
     "JacobiReport",
+    "SparseVector",
     "Window",
     "C",
     "L",
@@ -157,82 +158,99 @@ class AlgebraParams:
         return f"s={self.s}, lambda={self.lam}, {c}"
 
 
-class Element:
-    """A finitely supported exact-rational vector over basis indices.
+class SparseVector:
+    """A finitely supported exact-rational vector over hashable keys: the
+    container that elements and tensors share.
 
     Canonical form: no stored coefficient is zero, so equality is plain
-    coefficient comparison.  Treated as immutable after construction.
+    coefficient comparison between vectors of the same type.  Treated as
+    immutable after construction.  Keys are tuples of _arity basis indices
+    and print in tensor form; Element overrides both.
     """
 
     __slots__ = ("terms",)
+    _arity = 0
 
     def __init__(self, terms: Optional[dict] = None) -> None:
-        clean: dict[BasisIndex, Fraction] = {}
+        clean = {}
         if terms:
-            for idx, coeff in terms.items():
+            for key, coeff in terms.items():
                 coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
                 if coeff:
-                    clean[idx] = coeff
+                    clean[key] = coeff
         self.terms = clean
 
     @classmethod
-    def zero(cls) -> "Element":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def basis(cls, idx: BasisIndex) -> "Element":
-        return cls({idx: Fraction(1)})
+    def basis(cls, *indices: BasisIndex):
+        if len(indices) != cls._arity:
+            raise ValueError(f"expected {cls._arity} indices")
+        return cls({tuple(indices): Fraction(1)})
 
-    def coeff(self, idx: BasisIndex) -> Fraction:
-        return self.terms.get(idx, Fraction(0))
+    def coeff(self, key) -> Fraction:
+        return self.terms.get(key, Fraction(0))
 
-    def items(self) -> Iterator[tuple[BasisIndex, Fraction]]:
+    def items(self) -> Iterator:
         return iter(self.terms.items())
 
-    def support(self) -> list[BasisIndex]:
+    def support(self) -> list:
         return sorted(self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Element) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "Element") -> "Element":
+    def __add__(self, other):
         out = dict(self.terms)
-        for idx, coeff in other.terms.items():
-            new = out.get(idx, 0) + coeff
+        for key, coeff in other.terms.items():
+            new = out.get(key, 0) + coeff
             if new:
-                out[idx] = new
+                out[key] = new
             else:
-                out.pop(idx, None)
-        return Element(out)
+                out.pop(key, None)
+        return type(self)(out)
 
-    def __sub__(self, other: "Element") -> "Element":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "Element":
-        return Element({idx: -coeff for idx, coeff in self.terms.items()})
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
 
-    def scaled(self, factor: Rational) -> "Element":
+    def scaled(self, factor: Rational):
         factor = rat(factor)
         if not factor:
-            return Element()
-        return Element({idx: coeff * factor for idx, coeff in self.terms.items()})
+            return type(self)()
+        return type(self)({k: c * factor for k, c in self.terms.items()})
 
-    def __mul__(self, factor: Rational) -> "Element":
-        return self.scaled(factor)
+    __mul__ = scaled
+    __rmul__ = scaled
 
-    __rmul__ = __mul__
+    def __str__(self) -> str:
+        return format_terms(sorted(self.terms.items()), tensor=True)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({self})"
+
+
+class Element(SparseVector):
+    """An element of the algebra: a sparse vector over basis indices."""
+
+    __slots__ = ()
+
+    @classmethod
+    def basis(cls, idx: BasisIndex) -> "Element":
+        return cls({idx: Fraction(1)})
 
     def __str__(self) -> str:
         return format_terms(sorted(self.terms.items()), tensor=False)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Element({self})"
 
 
 def format_terms(items, tensor: bool) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -61,33 +60,19 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"not a rational: {text!r} ({exc})")
 
 
-@dataclass
-class JobConfig:
-    """A validated single-command configuration."""
-
-    command: str
-    params: Optional[AlgebraParams]
-    window: Window
-    r_path: Optional[str] = None
-    derivation_path: Optional[str] = None
-    degree: Fraction = Fraction(0)
-    target: str = "algebra"
-    order: int = 2
-    json_output: bool = False
-    operands: tuple = ()
-
-
-def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    params = None
-    if getattr(args, "s", None) is not None:
+def _validate(args: argparse.Namespace) -> None:
+    """Parse and range-check the namespace in place: --s, --lambda and
+    --central become args.params, the window bound a Window and --degree
+    a Fraction."""
+    if hasattr(args, "s"):
         s = _parse_rational(args.s)
         lam = _parse_rational(args.lam)
         central = {"true": True, "false": False}[args.central]
         try:
-            params = AlgebraParams(s, lam, central)
+            args.params = AlgebraParams(s, lam, central)
         except ValueError as exc:
             raise UsageError(str(exc))
-    bound = getattr(args, "window", 12)
+    bound = args.window
     if not (0 < bound <= MAX_WINDOW):
         raise UsageError(f"window bound must be in 1..{MAX_WINDOW}, got {bound}")
     if args.command in ("invariants", "skew-lemma") and bound < MIN_INTERIOR_WINDOW:
@@ -95,19 +80,13 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
             f"{args.command} needs --window at least {MIN_INTERIOR_WINDOW}: the "
             f"interior check needs at least L[-2..2], got {bound}"
         )
-    degree = _parse_rational(getattr(args, "degree", "0") or "0")
-    return JobConfig(
-        command=args.command,
-        params=params,
-        window=Window.symmetric(bound),
-        r_path=getattr(args, "r", None),
-        derivation_path=getattr(args, "derivation", None),
-        degree=degree,
-        target=getattr(args, "target", "algebra"),
-        order=getattr(args, "order", 2),
-        json_output=bool(getattr(args, "json", False)),
-        operands=tuple(getattr(args, "operands", ()) or ()),
-    )
+    args.window = Window.symmetric(bound)
+    if hasattr(args, "degree"):
+        args.degree = _parse_rational(args.degree or "0")
+        if (args.degree * 2).denominator != 1:
+            raise UsageError(
+                f"degree must be an integer or half-integer: {args.degree}"
+            )
 
 
 def _read_input(path: str) -> str:
@@ -121,18 +100,18 @@ def _read_input(path: str) -> str:
         raise UsageError(f"cannot decode {path!r}: {exc}") from None
 
 
-def _load_r(cfg: JobConfig):
-    if not cfg.r_path:
+def _load_r(args: argparse.Namespace):
+    if not args.r:
         raise UsageError("this command needs an r-matrix file (--r FILE)")
-    r = parse_tensor2(_read_input(cfg.r_path))
+    r = parse_tensor2(_read_input(args.r))
     if not skew_part_membership(r):
         print("warning: r is not skew (not in the image of 1 - twist)", file=sys.stderr)
     return r
 
 
-def _emit(cfg: JobConfig, payload: dict, human: str) -> None:
-    if cfg.json_output:
-        payload = {"schema": 1, "command": cfg.command, **payload}
+def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
+    if args.json:
+        payload = {"schema": 1, "command": args.command, **payload}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(human)
@@ -146,18 +125,18 @@ def _params_dict(p: AlgebraParams) -> dict:
 # Command handlers (return process exit codes)
 # ---------------------------------------------------------------------------
 
-def _cmd_bracket(cfg: JobConfig) -> int:
-    if len(cfg.operands) != 2:
+def _cmd_bracket(args: argparse.Namespace) -> int:
+    if len(args.operands) != 2:
         raise UsageError("bracket takes two element literals")
-    x = parse_element(cfg.operands[0])
-    y = parse_element(cfg.operands[1])
-    out = bracket(x, y, cfg.params)
-    _emit(cfg, {"params": _params_dict(cfg.params), "result": str(out)}, str(out))
+    x = parse_element(args.operands[0])
+    y = parse_element(args.operands[1])
+    out = bracket(x, y, args.params)
+    _emit(args, {"params": _params_dict(args.params), "result": str(out)}, str(out))
     return EXIT_OK
 
 
-def _cmd_jacobi(cfg: JobConfig) -> int:
-    rep = check_jacobi(cfg.params, cfg.window)
+def _cmd_jacobi(args: argparse.Namespace) -> int:
+    rep = check_jacobi(args.params, args.window)
     human = (
         f"Jacobi: {'pass' if rep.ok else 'FAIL'} "
         f"({rep.checked} triples checked)"
@@ -166,10 +145,10 @@ def _cmd_jacobi(cfg: JobConfig) -> int:
         gx, gy, gz, res = rep.failures[0]
         human += f"\nwitness: ({gx.label()}, {gy.label()}, {gz.label()}) -> {res}"
     _emit(
-        cfg,
+        args,
         {
-            "params": _params_dict(cfg.params),
-            "window": [cfg.window.lo, cfg.window.hi],
+            "params": _params_dict(args.params),
+            "window": [args.window.lo, args.window.hi],
             "checked": rep.checked,
             "violations": len(rep.failures),
         },
@@ -178,14 +157,14 @@ def _cmd_jacobi(cfg: JobConfig) -> int:
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_center(cfg: JobConfig) -> int:
-    basis = center_in_window(cfg.params, cfg.window)
+def _cmd_center(args: argparse.Namespace) -> int:
+    basis = center_in_window(args.params, args.window)
     human = "center basis: " + (", ".join(str(b) for b in basis) if basis else "(zero)")
     _emit(
-        cfg,
+        args,
         {
-            "params": _params_dict(cfg.params),
-            "window": [cfg.window.lo, cfg.window.hi],
+            "params": _params_dict(args.params),
+            "window": [args.window.lo, args.window.hi],
             "basis": [str(b) for b in basis],
         },
         human,
@@ -193,28 +172,28 @@ def _cmd_center(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_cybe(cfg: JobConfig) -> int:
-    r = _load_r(cfg)
-    obstruction = ybe_c(r, cfg.params)
+def _cmd_cybe(args: argparse.Namespace) -> int:
+    r = _load_r(args)
+    obstruction = ybe_c(r, args.params)
     ok = not obstruction
     human = "CYBE: satisfied" if ok else f"CYBE: violated, c(r) = {obstruction}"
     _emit(
-        cfg,
-        {"params": _params_dict(cfg.params), "satisfied": ok, "obstruction_terms": len(obstruction.terms)},
+        args,
+        {"params": _params_dict(args.params), "satisfied": ok, "obstruction_terms": len(obstruction.terms)},
         human,
     )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _cmd_mybe(cfg: JobConfig) -> int:
-    r = _load_r(cfg)
-    ok = check_mybe(r, cfg.params, cfg.window)
+def _cmd_mybe(args: argparse.Namespace) -> int:
+    r = _load_r(args)
+    ok = check_mybe(r, args.params, args.window)
     human = "MYBE: satisfied" if ok else "MYBE: violated"
     _emit(
-        cfg,
+        args,
         {
-            "params": _params_dict(cfg.params),
-            "window": [cfg.window.lo, cfg.window.hi],
+            "params": _params_dict(args.params),
+            "window": [args.window.lo, args.window.hi],
             "satisfied": ok,
         },
         human,
@@ -222,28 +201,28 @@ def _cmd_mybe(cfg: JobConfig) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _cmd_coboundary(cfg: JobConfig) -> int:
-    if len(cfg.operands) != 1:
+def _cmd_coboundary(args: argparse.Namespace) -> int:
+    if len(args.operands) != 1:
         raise UsageError("coboundary takes one element literal")
-    r = _load_r(cfg)
-    x = parse_element(cfg.operands[0])
-    out = coboundary(r, x, cfg.params)
-    _emit(cfg, {"params": _params_dict(cfg.params), "result": str(out)}, str(out))
+    r = _load_r(args)
+    x = parse_element(args.operands[0])
+    out = coboundary(r, x, args.params)
+    _emit(args, {"params": _params_dict(args.params), "result": str(out)}, str(out))
     return EXIT_OK
 
 
-def _cmd_cojacobi(cfg: JobConfig) -> int:
-    r = _load_r(cfg)
+def _cmd_cojacobi(args: argparse.Namespace) -> int:
+    r = _load_r(args)
     bad = []
-    for g in cfg.window.basis_indices(cfg.params):
-        if not check_cojacobi_identity(r, Element.basis(g), cfg.params):
+    for g in args.window.basis_indices(args.params):
+        if not check_cojacobi_identity(r, Element.basis(g), args.params):
             bad.append(g.label())
     human = "co-Jacobi balance: holds" if not bad else f"co-Jacobi balance: broken at {bad}"
     _emit(
-        cfg,
+        args,
         {
-            "params": _params_dict(cfg.params),
-            "window": [cfg.window.lo, cfg.window.hi],
+            "params": _params_dict(args.params),
+            "window": [args.window.lo, args.window.hi],
             "violations": bad,
         },
         human,
@@ -251,18 +230,18 @@ def _cmd_cojacobi(cfg: JobConfig) -> int:
     return EXIT_OK if not bad else EXIT_CHECK_FAILED
 
 
-def _cmd_check_derivation(cfg: JobConfig) -> int:
-    if not cfg.derivation_path:
+def _cmd_check_derivation(args: argparse.Namespace) -> int:
+    if not args.derivation:
         raise UsageError("check-derivation needs --derivation FILE")
-    text = _read_input(cfg.derivation_path)
+    text = _read_input(args.derivation)
     try:
         table = table_from_json(text)
     except (LiteralError, InvalidIndexError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise UsageError(f"malformed derivation table {cfg.derivation_path!r}: {reason}") from None
-    rep = is_derivation(table, cfg.params)
+        raise UsageError(f"malformed derivation table {args.derivation!r}: {reason}") from None
+    rep = is_derivation(table, args.params)
     human = (
         f"derivation check: {'pass' if rep.ok else 'FAIL'} "
         f"({rep.checked} pairs checked, {rep.skipped} boundary pairs skipped)"
@@ -271,9 +250,9 @@ def _cmd_check_derivation(cfg: JobConfig) -> int:
         g, h, lhs, rhs = rep.witness()
         human += f"\nwitness pair ({g.label()}, {h.label()}): D[g,h] = {lhs} but action gives {rhs}"
     _emit(
-        cfg,
+        args,
         {
-            "params": _params_dict(cfg.params),
+            "params": _params_dict(args.params),
             "checked": rep.checked,
             "skipped": rep.skipped,
             "violations": len(rep.violations),
@@ -283,51 +262,51 @@ def _cmd_check_derivation(cfg: JobConfig) -> int:
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_h1(cfg: JobConfig) -> int:
-    rep = solve_h1(cfg.params, cfg.target, cfg.degree, cfg.window)
+def _cmd_h1(args: argparse.Namespace) -> int:
+    rep = solve_h1(args.params, args.target, args.degree, args.window)
     human = (
-        f"H1 {cfg.target} degree {cfg.degree}: dim_der={rep.dim_der} "
+        f"H1 {args.target} degree {args.degree}: dim_der={rep.dim_der} "
         f"dim_inn={rep.dim_inn} dim_h1={rep.dim_h1}"
         + (" (certified basis: " + ", ".join(rep.quotient_names) + ")" if rep.certified and rep.quotient_names else "")
         + (f"\nnote: {rep.note}" if rep.note else "")
     )
-    _emit(cfg, {"report": rep.as_dict()}, human)
+    _emit(args, {"report": rep.as_dict()}, human)
     return EXIT_OK
 
 
-def _cmd_invariants(cfg: JobConfig) -> int:
-    rep = verify_invariants_are_central(cfg.params, cfg.order, cfg.window)
+def _cmd_invariants(args: argparse.Namespace) -> int:
+    rep = verify_invariants_are_central(args.params, args.order, args.window)
     human = (
-        f"invariant tensors (order {cfg.order}): "
+        f"invariant tensors (order {args.order}): "
         f"{'match center products' if rep.ok else 'MISMATCH'} "
         f"(dim {rep.details['kernel_dim']})"
     )
-    _emit(cfg, {"report": rep.as_dict()}, human)
+    _emit(args, {"report": rep.as_dict()}, human)
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_skew_lemma(cfg: JobConfig) -> int:
-    rep = verify_skew_image_lemma(cfg.params, cfg.window)
+def _cmd_skew_lemma(args: argparse.Namespace) -> int:
+    rep = verify_skew_image_lemma(args.params, args.window)
     human = (
         "skew-image decomposition: holds"
         if rep.ok
         else f"skew-image decomposition: fails for {rep.details['failures']}"
     )
-    _emit(cfg, {"report": rep.as_dict()}, human)
+    _emit(args, {"report": rep.as_dict()}, human)
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_verify_paper(cfg: JobConfig) -> int:
+def _cmd_verify_paper(args: argparse.Namespace) -> int:
     lines: list[str] = []
     results = run_verification(
-        window=cfg.window.hi, log=lines.append if cfg.json_output else print
+        window=args.window.hi, log=lines.append if args.json else print
     )
     ok = all(r.ok for r in results)
-    if cfg.json_output:
+    if args.json:
         payload = {
             "schema": 1,
             "command": "verify-paper",
-            "window": cfg.window.hi,
+            "window": args.window.hi,
             "criteria": [
                 {
                     "number": r.number,
@@ -359,21 +338,6 @@ _HANDLERS = {
     "skew-lemma": _cmd_skew_lemma,
     "verify-paper": _cmd_verify_paper,
 }
-
-_NEEDS_PARAMS = {
-    "bracket",
-    "jacobi",
-    "center",
-    "cybe",
-    "mybe",
-    "coboundary",
-    "cojacobi",
-    "check-derivation",
-    "h1",
-    "invariants",
-    "skew-lemma",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -474,8 +438,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_negative_values(list(argv)))
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[args.command](cfg)
+        _validate(args)
+        return _HANDLERS[args.command](args)
     except (UsageError, LiteralError, InvalidIndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

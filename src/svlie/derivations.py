@@ -78,9 +78,6 @@ class DerivationTable:
     def value(self, g: BasisIndex) -> Value:
         return self.values.get(g, _zero(self.target))
 
-    def is_zero(self) -> bool:
-        return not self.values
-
     def __add__(self, other: "DerivationTable") -> "DerivationTable":
         if (self.target, self.window) != (other.target, other.window):
             raise ValueError("tables live on different targets or windows")
@@ -99,20 +96,6 @@ class DerivationTable:
             {g: v.scaled(factor) for g, v in self.values.items()},
             self.name,
         )
-
-    def check_homogeneous(self) -> None:
-        """Raise unless every value sits in degree (deg g + degree)."""
-        if self.degree is None:
-            raise ValueError("table has no declared degree")
-        shift = int(self.degree * 2)
-        for g, val in self.values.items():
-            keys = val.terms.keys()
-            for key in keys:
-                dd = key.dd if isinstance(key, BasisIndex) else sum(i.dd for i in key)
-                if dd != g.dd + shift:
-                    raise ValueError(
-                        f"value at {g.label()} leaves degree {g.degree + self.degree}"
-                    )
 
 
 @dataclass
@@ -435,16 +418,6 @@ def homogeneous_component(D: DerivationTable, alpha: Fraction) -> DerivationTabl
         if kept:
             values[g] = type(val)(kept)
     return DerivationTable(D.target, alpha, D.window, values, name=D.name)
-
-
-def support_degrees(D: DerivationTable) -> set[Fraction]:
-    """All degree shifts present in a raw rule's values."""
-    out = set()
-    for g, val in D.values.items():
-        for key in val.terms:
-            dd = key.dd if isinstance(key, BasisIndex) else sum(i.dd for i in key)
-            out.add(Fraction(dd - g.dd, 2))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
 
 from .algebra import (
     AlgebraParams,
     BasisIndex,
     Element,
+    SparseVector,
     Window,
     bracket_table,
-    format_terms,
     generating_set,
-    rat,
 )
 
 __all__ = [
@@ -41,84 +39,10 @@ __all__ = [
 Triple = tuple[BasisIndex, BasisIndex, BasisIndex]
 
 
-class _SparseTensor:
-    """Shared canonical-form container for tensor coordinates."""
-
-    __slots__ = ("terms",)
-    _arity = 0
-
-    def __init__(self, terms: Optional[dict] = None) -> None:
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if coeff:
-                    clean[key] = coeff
-        self.terms = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def basis(cls, *indices: BasisIndex):
-        if len(indices) != cls._arity:
-            raise ValueError(f"expected {cls._arity} indices")
-        return cls({tuple(indices): Fraction(1)})
-
-    def coeff(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
-
-    def items(self) -> Iterator:
-        return iter(self.terms.items())
-
-    def support(self) -> list:
-        return sorted(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = out.get(key, 0) + coeff
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return type(self)(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
-
-    def scaled(self, factor):
-        factor = rat(factor)
-        if not factor:
-            return type(self)()
-        return type(self)({k: c * factor for k, c in self.terms.items()})
-
-    __mul__ = scaled
-    __rmul__ = scaled
-
-    def __str__(self) -> str:
-        return format_terms(sorted(self.terms.items()), tensor=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self})"
-
-
-class Tensor2(_SparseTensor):
+class Tensor2(SparseVector):
     """Element of the tensor square, r = sum a_i (x) b_i."""
 
+    __slots__ = ()
     _arity = 2
 
     def file_lines(self) -> list[str]:
@@ -129,9 +53,10 @@ class Tensor2(_SparseTensor):
         return lines
 
 
-class Tensor3(_SparseTensor):
+class Tensor3(SparseVector):
     """Element of the triple tensor product."""
 
+    __slots__ = ()
     _arity = 3
 
 
@@ -158,7 +83,7 @@ def skew_part_membership(t: Tensor2) -> bool:
     return twist(t) == -t
 
 
-def diag_action(x: Element, t: _SparseTensor, p: AlgebraParams) -> _SparseTensor:
+def diag_action(x: Element, t: SparseVector, p: AlgebraParams) -> SparseVector:
     """Leibniz action on every slot of t, a Tensor2 or a Tensor3:
     x . (a (x) b) = [x,a] (x) b + a (x) [x,b]."""
     table = bracket_table(p)

@@ -40,17 +40,7 @@ from .tensors import Tensor2, check_cojacobi_identity, check_cybe, ybe_c
 
 HALF = Fraction(1, 2)
 
-JACOBI_CASES = (
-    (HALF, Fraction(-1)),
-    (HALF, Fraction(-2)),
-    (HALF, Fraction(3)),
-    (Fraction(0), Fraction(-2)),
-    (Fraction(0), Fraction(-1)),
-    (Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-    (Fraction(0), Fraction(5)),
-    (Fraction(0), Fraction(-5, 3)),
-)
+JACOBI_CASES = CASE_ROWS + ((Fraction(0), Fraction(-5, 3)),)
 
 H1_ALGEBRA_TABLE = (
     (HALF, Fraction(0), 3),

@@ -295,6 +295,15 @@ class TestH1Command:
         )
         assert code == 0 and "dim_h1=0" in out
 
+    @pytest.mark.parametrize("target", ["algebra", "tensor-square"])
+    def test_degree_off_the_half_integers_is_usage_error(self, capsys, target):
+        code, out, err = run_cli(
+            capsys, "h1", "--s", "0", "--lambda", "0", "--window", "4",
+            "--target", target, "--degree", "1/3",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: degree must be an integer or half-integer: 1/3\n"
+
 
 class TestDeterminism:
     def test_json_reports_byte_identical(self, capsys):

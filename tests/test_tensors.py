@@ -38,6 +38,17 @@ WITT_R = parse_tensor2("1 * L[0] (x) L[1] - 1 * L[1] (x) L[0]")
 NEG_R = parse_tensor2("1 * L[-1] (x) L[2] - 1 * L[2] (x) L[-1]")
 
 
+def test_elements_and_tensors_share_one_container():
+    # equality is by exact type, and no instance carries a __dict__
+    assert Element() != Tensor2()
+    assert Tensor2.zero() != Tensor3.zero()
+    assert Element.basis(L(0)) == parse_element("L[0]")
+    with pytest.raises(ValueError):
+        Tensor2.basis(L(0))
+    for v in (Element.basis(L(0)), Tensor2.basis(L(0), M(1)), Tensor3.zero()):
+        assert not hasattr(v, "__dict__")
+
+
 class TestTwistCyclic:
     def test_twist_swaps(self):
         assert twist(Tensor2.basis(L(0), L(1))) == Tensor2.basis(L(1), L(0))
