@@ -126,7 +126,9 @@ def is_derivation(D: DerivationTable, p: AlgebraParams) -> DerivationReport:
     violation builds its two sides as values.  Every term of [g, h] has
     the doubled degree g.dd + h.dd, so one degree test places the whole
     bracket in or out of the window; a generator without a value acts on
-    nothing, so its action is not computed.
+    nothing, so its action is not computed, and a pair with no value at g,
+    at h or at any term of [g, h] is counted as checked without either
+    side being built.
     """
     w = D.window
     gens = w.basis_indices(p)
@@ -150,6 +152,9 @@ def is_derivation(D: DerivationTable, p: AlgebraParams) -> DerivationReport:
                 skipped += 1
                 continue
             vh = vals.get(h)
+            if not (vg or vh or any(e in vals for e, _ in br)):
+                checked += 1  # both sides are zero
+                continue
             rhs = table.act(g, vh) if vh else {}
             rhs_h = table.act(h, vg) if vg else {}
             if not (all(map(w.contains, rhs)) and all(map(w.contains, rhs_h))):
@@ -159,12 +164,15 @@ def is_derivation(D: DerivationTable, p: AlgebraParams) -> DerivationReport:
             for e, k in br:
                 for key, c in vals.get(e, {}).items():
                     lhs[key] = lhs.get(key, 0) + k * c
-            lhs = {key: c for key, c in lhs.items() if c}
+            # rhs - lhs, in act's own fresh dict; a violation adds lhs back
             for key, c in rhs_h.items():
                 rhs[key] = rhs.get(key, 0) - c
-            rhs = {key: c for key, c in rhs.items() if c}
+            for key, c in lhs.items():
+                rhs[key] = rhs.get(key, 0) - c
             checked += 1
-            if lhs != rhs:
+            if any(rhs.values()):
+                for key, c in lhs.items():
+                    rhs[key] += c
                 violations.append((
                     g,
                     h,

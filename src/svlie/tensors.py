@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .algebra import (
     AlgebraParams,
@@ -103,57 +104,69 @@ def coboundary(r: Tensor2, x: Element, p: AlgebraParams) -> Tensor2:
     return diag_action(x, r, p)
 
 
-def ybe_c(r: Tensor2, p: AlgebraParams) -> Tensor3:
-    """Yang-Baxter obstruction of r.
+def _integer_terms(v: SparseVector) -> tuple[int, dict]:
+    """(d, v times d), where d is the lcm of the denominators of v, so
+    every coefficient of the scaled v is an int."""
+    d = lcm(1, *(c.denominator for c in v.terms.values()))
+    return d, {key: c.numerator * (d // c.denominator) for key, c in v.terms.items()}
 
-    Expanded termwise over pairs of terms of r; each summand carries one
-    bracket and two pass-through slots, so the result lives in the triple
-    tensor product of the algebra itself.
+
+@lru_cache(maxsize=1)
+def _cobracket_memo(r: Tensor2, p: AlgebraParams) -> tuple[int, dict, dict, dict]:
+    """The integer data of the Yang-Baxter checks of one (r, p): R and r
+    times R (see _integer_terms), the obstruction ybe_c(r, p) times
+    p.scale * R**2 (zeros dropped), and a memo of the generator cobrackets
+    of r times p.scale * R.  Callers check one r over a run of generators,
+    so only the last pair is kept: each held pair keeps tens of kilobytes
+    alive.
+
+    The obstruction is expanded termwise over pairs of terms of r; each
+    summand carries one bracket and two pass-through slots, so it lives in
+    the triple tensor product of the algebra itself.
     """
     table = bracket_table(p)
-    out: dict[Triple, Fraction] = {}
-
-    def add(key: Triple, val: Fraction) -> None:
-        out[key] = out.get(key, 0) + val
-
-    terms = list(r.terms.items())
+    R, r_int = _integer_terms(r)
+    out: dict[Triple, int] = {}
+    terms = list(r_int.items())
     for (a1, b1), c1 in terms:
         for (a2, b2), c2 in terms:
             c = c1 * c2
             for e, k in table[a1, a2]:
-                add((e, b1, b2), c * k)
+                key = (e, b1, b2)
+                out[key] = out.get(key, 0) + c * k
             for e, k in table[b1, a2]:
-                add((a1, e, b2), c * k)
+                key = (a1, e, b2)
+                out[key] = out.get(key, 0) + c * k
             for e, k in table[b1, b2]:
-                add((a1, a2, e), c * k)
-    return Tensor3({key: v / p.scale for key, v in out.items()})
+                key = (a1, a2, e)
+                out[key] = out.get(key, 0) + c * k
+    return R, r_int, {key: v for key, v in out.items() if v}, {}
+
+
+def ybe_c(r: Tensor2, p: AlgebraParams) -> Tensor3:
+    """Yang-Baxter obstruction of r, summed in integers (_cobracket_memo)."""
+    R, _, obstruction, _ = _cobracket_memo(r, p)
+    unit = p.scale * R * R
+    return Tensor3({key: Fraction(v, unit) for key, v in obstruction.items()})
 
 
 def check_cybe(r: Tensor2, p: AlgebraParams) -> bool:
     """Classical Yang-Baxter equation: the obstruction vanishes."""
-    return not ybe_c(r, p)
+    return not _cobracket_memo(r, p)[2]
 
 
 def check_mybe(r: Tensor2, p: AlgebraParams, w: Window) -> bool:
     """Modified Yang-Baxter equation on a window: every in-window
     generator kills the obstruction.  The generating set is tried: what
     kills a finite tensor is a subalgebra (see algebra.generating_set)."""
-    obstruction = ybe_c(r, p)
+    obstruction = _cobracket_memo(r, p)[2]
     if not obstruction:
         return True
+    table = bracket_table(p)
     for g in generating_set(p, w):
-        if diag_action(Element.basis(g), obstruction, p):
+        if table.act(g, obstruction):
             return False
     return True
-
-
-@lru_cache(maxsize=1)
-def _cobracket_memo(r: Tensor2, p: AlgebraParams) -> tuple[Tensor3, dict]:
-    """ybe_c(r, p) and a memo of the generator cobrackets of r, shared by
-    the co-Jacobi checks of one (r, p).  Callers check one r over a run of
-    generators, so only the last pair is kept: each held pair keeps tens of
-    kilobytes alive."""
-    return ybe_c(r, p), {}
 
 
 def check_cojacobi_identity(r: Tensor2, x: Element, p: AlgebraParams) -> bool:
@@ -164,27 +177,44 @@ def check_cojacobi_identity(r: Tensor2, x: Element, p: AlgebraParams) -> bool:
     obstruction.  This holds identically for skew r (r = -twist(r)), where
     a False return indicates an implementation bug.  For r that is not
     skew the balance need not hold, and a False return is expected.
-    """
-    obstruction, memo = _cobracket_memo(r, p)
 
-    def cobracket(g: BasisIndex) -> Tensor2:
+    Both sides are summed in integers: with x scaled by X, the lcm of its
+    denominators, and the memo's integer r, obstruction and cobrackets,
+    each side comes out p.scale**2 * R**2 * X times the true one.
+    """
+    table = bracket_table(p)
+    _, r_int, obstruction, memo = _cobracket_memo(r, p)
+
+    def cobracket(g: BasisIndex) -> dict:
         t = memo.get(g)
         if t is None:
-            t = memo[g] = coboundary(r, Element.basis(g), p)
+            t = memo[g] = table.act(g, r_int)
         return t
 
+    _, x_int = _integer_terms(x)
     first: dict = {}
-    for g, c in x.terms.items():
-        for key, cu in cobracket(g).terms.items():
+    for g, c in x_int.items():
+        for key, cu in cobracket(g).items():
             first[key] = first.get(key, 0) + c * cu
     # 1 (x) cobracket, applied to the second slot of the cobracket of x
-    nested: dict[Triple, Fraction] = {}
+    nested: dict[Triple, int] = {}
     for (i, j), c in first.items():
-        for (u, v), cu in cobracket(j).terms.items():
-            nested[i, u, v] = nested.get((i, u, v), 0) + c * cu
-    lhs = Tensor3(nested)
-    lhs = lhs + cyclic(lhs) + cyclic(cyclic(lhs))
-    return lhs == diag_action(x, obstruction, p)
+        if c:
+            for (u, v), cu in cobracket(j).items():
+                nested[i, u, v] = nested.get((i, u, v), 0) + c * cu
+    # summed over the three cyclic rotations of its slots; rotating the
+    # summed terms is cheaper, as many terms share a key
+    lhs: dict[Triple, int] = {}
+    for (i, u, v), c in nested.items():
+        if c:
+            lhs[i, u, v] = lhs.get((i, u, v), 0) + c
+            lhs[u, v, i] = lhs.get((u, v, i), 0) + c
+            lhs[v, i, u] = lhs.get((v, i, u), 0) + c
+    rhs: dict[Triple, int] = {}
+    for g, c in x_int.items():
+        for key, cu in table.act(g, obstruction).items():
+            rhs[key] = rhs.get(key, 0) + c * cu
+    return {k: v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}
 
 
 def check_compatibility(r: Tensor2, x: Element, y: Element, p: AlgebraParams) -> bool:

@@ -70,6 +70,27 @@ class TestBracketCommand:
         )
         assert code == 0 and "dim_h1=0" in out
 
+    @pytest.mark.parametrize("command,operands", [
+        ("bracket", ["L[1]"]),
+        ("bracket", ["L[1]", "L[2]", "L[3]"]),
+        ("coboundary", []),
+        ("coboundary", ["L[1]", "L[2]"]),
+    ])
+    def test_wrong_operand_count_is_argparse_usage(self, capsys, tmp_path, command, operands):
+        # argparse's nargs rejects the count before any handler runs: a
+        # missing operand is reported by the subcommand's parser, a surplus
+        # one by the top-level parser
+        path = tmp_path / "witt.r"
+        path.write_text(WITT_R)
+        extra = ["--r", str(path)] if command == "coboundary" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--s", "0", "--lambda", "0", *extra, *operands])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: svlie ")
+        assert "error: " in captured.err.splitlines()[-1]
+        assert "Traceback" not in captured.err
+
     def test_malformed_element(self, capsys):
         code, _, err = run_cli(
             capsys, "bracket", "--s", "0", "--lambda", "1", "L[1/3]", "L[2]"

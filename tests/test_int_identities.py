@@ -399,6 +399,69 @@ def test_inner_and_raw_tables_match_reference():
         assert_derivation_matches(cancel, AlgebraParams(0, lam))
 
 
+SKIP_WINDOWS = [Window.symmetric(6), Window.symmetric(3), Window(0, 7), Window(-9, 2)]
+
+
+def empty_pairs(D, p):
+    """(inside, outside): the pairs with no value at g, at h or at any term
+    of [g, h], split by whether [g, h] stays in the window."""
+    w = D.window
+    gens = w.basis_indices(p)
+    inside = outside = 0
+    for i, g in enumerate(gens):
+        for h in gens[i + 1:]:
+            br = basis_bracket(g, h, p)
+            if g in D.values or h in D.values or any(e in D.values for e, _ in br):
+                continue
+            if all(w.contains(e) for e, _ in br):
+                inside += 1
+            else:
+                outside += 1
+    return inside, outside
+
+
+def sparse_tables(p, w):
+    """Tables that leave most pairs empty: inner derivations of single
+    terms, and values at one or two generators (inside every window)."""
+    y = Y(Fraction(p.s2, 2))
+    for v in (
+        Element({L(1): Fraction(2, 3)}),
+        Element({M(0): 1}),
+        Tensor2({(L(0), M(1)): Fraction(-5, 2)}),
+    ):
+        yield inner(v, p, w)
+    yield DerivationTable(ALGEBRA, None, w, {L(1): Element({M(1): Fraction(1, 3), L(2): 5})})
+    yield DerivationTable(
+        ALGEBRA, Fraction(0), w, {M(0): Element({M(0): 2}), y: Element({y: Fraction(-1, 2)})}
+    )
+    yield DerivationTable(TENSOR, Fraction(1), w, {L(1): Tensor2({(L(0), M(2)): Fraction(2, 7)})})
+    yield DerivationTable(
+        TENSOR, Fraction(0), w,
+        {L(0): Tensor2({(M(0), L(0)): 3}), y: Tensor2({(y, M(0)): Fraction(1, 5)})},
+    )
+
+
+@pytest.mark.parametrize("s,lam", [(HALF, Fraction(-1)), (Fraction(0), Fraction(0)),
+                                   (Fraction(0), Fraction(-5, 3))])
+def test_sparse_tables_match_reference(s, lam):
+    """is_derivation counts a pair with no value at g, at h or at any term
+    of [g, h] without building it; the counts and violations must still
+    match the reference, on tables and windows where such pairs stay in
+    the window and where their bracket leaves it."""
+    rng = random.Random(f"sparse {s}/{lam}")
+    totals = [0, 0]
+    for central in (True, False):
+        p = AlgebraParams(s, lam, central)
+        for w in SKIP_WINDOWS:
+            for table in sparse_tables(p, w):
+                assert_derivation_matches(table, p)
+                if table.values:  # inner(M[0]) is zero at lambda = 0
+                    assert_derivation_matches(perturbed(table, rng), p)
+                for k, n in enumerate(empty_pairs(table, p)):
+                    totals[k] += n
+    assert all(totals), totals
+
+
 def test_wrong_parity_value_raises_like_reference():
     w = Window.symmetric(6)
     table = DerivationTable(ALGEBRA, Fraction(0), w, {L(1): Element({Y(HALF): 1})})

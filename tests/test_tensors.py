@@ -28,9 +28,9 @@ from svlie import (
     twist,
     ybe_c,
 )
-from svlie.algebra import bracket_int
+from svlie.algebra import bracket_int, generating_set
 from svlie.tensors import _cobracket_memo
-from svlie.verify import random_tensor
+from svlie.verify import random_element, random_tensor
 
 HALF = Fraction(1, 2)
 
@@ -165,7 +165,9 @@ class TestCoboundary:
 
 def brute_force_ybe(r: Tensor2, p: AlgebraParams) -> Tensor3:
     """Independent oracle: the literal three-sum expansion, written
-    directly against the defining formula rather than through ybe_c."""
+    directly against the defining formula rather than through ybe_c.  It
+    is also the Fraction ybe_c that the integer one replaced: the same
+    expansion, summed in Fractions."""
     def br(a, b):
         return [(e, Fraction(k, p.scale)) for e, k in bracket_int(a, b, p)]
 
@@ -180,6 +182,31 @@ def brute_force_ybe(r: Tensor2, p: AlgebraParams) -> Tensor3:
             for e, k in br(b1, b2):
                 total[(a1, a2, e)] = total.get((a1, a2, e), 0) + c1 * c2 * k
     return Tensor3(total)
+
+
+def reference_check_mybe(r: Tensor2, p: AlgebraParams, w: Window) -> bool:
+    """The Fraction check_mybe: diag_action of each generator on the
+    Fraction obstruction."""
+    obstruction = brute_force_ybe(r, p)
+    return not any(
+        diag_action(Element.basis(g), obstruction, p) for g in generating_set(p, w)
+    )
+
+
+def reference_check_cojacobi_identity(r: Tensor2, x: Element, p: AlgebraParams) -> bool:
+    """The Fraction co-Jacobi balance: the cyclic sum of (1 (x) cobracket)
+    on the cobracket of x against x acting on the Fraction obstruction."""
+    first: dict = {}
+    for g, c in x.terms.items():
+        for key, cu in coboundary(r, Element.basis(g), p).terms.items():
+            first[key] = first.get(key, 0) + c * cu
+    nested: dict = {}
+    for (i, j), c in first.items():
+        for (u, v), cu in coboundary(r, Element.basis(j), p).terms.items():
+            nested[i, u, v] = nested.get((i, u, v), 0) + c * cu
+    lhs = Tensor3(nested)
+    lhs = lhs + cyclic(lhs) + cyclic(cyclic(lhs))
+    return lhs == diag_action(x, brute_force_ybe(r, p), p)
 
 
 class TestYangBaxter:
@@ -235,6 +262,39 @@ class TestYangBaxter:
             seen_false += not cybe
         assert seen_true and seen_false  # both branches exercised
 
+    @pytest.mark.parametrize("s", [Fraction(0), HALF])
+    @pytest.mark.parametrize("central", [True, False])
+    def test_integer_checks_match_fraction_reference(self, s, central):
+        # random skew and non-skew r with non-integer coefficients, basis
+        # and non-basis x; every verdict and the obstruction must agree
+        # with the Fraction references, and each verdict is seen both ways
+        p = AlgebraParams(s, Fraction(-5, 3) if central else Fraction(7, 2), central)
+        rng = random.Random(f"ybe {s} {central}")
+        w = Window.symmetric(4)
+        gens = w.basis_indices(p)
+        samples = [WITT_R.scaled(Fraction(2, 3)), Tensor2.zero()]
+        for _ in range(6):
+            t = random_tensor(rng, p.s2, max_terms=3)
+            samples += [t, t - twist(t)]
+        seen = {"cybe": set(), "mybe": set(), "cojacobi": set()}
+        for r in samples:
+            want = brute_force_ybe(r, p)
+            got = ybe_c(r, p)
+            assert got == want and str(got) == str(want)
+            cybe = check_cybe(r, p)
+            assert cybe == (not want)
+            mybe = check_mybe(r, p, w)
+            assert mybe == reference_check_mybe(r, p, w)
+            seen["cybe"].add(cybe)
+            seen["mybe"].add(mybe)
+            xs = [parse_element("2*L[1] - M[0] + 1/3*c"), random_element(rng, p.s2, max_terms=3)]
+            for x in xs + [Element.basis(g) for g in rng.sample(gens, 3)]:
+                ok = check_cojacobi_identity(r, x, p)
+                assert ok == reference_check_cojacobi_identity(r, x, p)
+                seen["cojacobi"].add(ok)
+        for name, verdicts in seen.items():
+            assert verdicts == {True, False}, name
+
 
 class TestIdentities:
     def test_cojacobi_balance_for_solutions(self):
@@ -274,11 +334,18 @@ class TestIdentities:
             for g in Window.symmetric(4).basis_indices(params):
                 assert check_cojacobi_identity(r, Element.basis(g), params)
             assert check_cojacobi_identity(r, x, params)
-            obstruction, memo = _cobracket_memo(r, params)
-            assert obstruction == ybe_c(r, params)
+            # the memo holds integers: r times R, the obstruction times
+            # scale * R**2 and the cobrackets times scale * R
+            R, r_int, obstruction, memo = _cobracket_memo(r, params)
+            scale = params.scale
+            assert r_int == {key: c * R for key, c in r.terms.items()}
+            assert obstruction == {
+                key: c * scale * R**2 for key, c in brute_force_ybe(r, params).terms.items()
+            }
             assert memo
             for g, cob in memo.items():
-                assert cob == coboundary(r, Element.basis(g), params)
+                want = coboundary(r, Element.basis(g), params)
+                assert cob == {key: c * scale * R for key, c in want.terms.items()}
 
     def test_cojacobi_zero_r(self):
         p = AlgebraParams(0, 0)
