@@ -80,7 +80,9 @@ class BasisIndex(NamedTuple):
     def degree(self) -> Fraction:
         return Fraction(self.dd, 2)
 
+    @lru_cache(maxsize=1024)
     def label(self) -> str:
+        """The literal form, cached: the printers ask for it on every term."""
         if self.kind == "c":
             return "c"
         if self.dd % 2 == 0:
@@ -175,7 +177,7 @@ class SparseVector:
         clean = {}
         if terms:
             for key, coeff in terms.items():
-                coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if coeff:
                     clean[key] = coeff
         self.terms = clean
@@ -264,16 +266,18 @@ def format_terms(items, tensor: bool) -> str:
         return "0"
     parts: list[str] = []
     for key, coeff in items:
+        # the magnitude from the integers: abs(), > and str() on a Fraction
+        # each build objects in Python code
+        num, den = coeff.numerator, coeff.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if tensor:
-            gens = " (x) ".join(idx.label() for idx in key)
-            body = f"{abs(coeff)} * {gens}"
+            body = f"{mag} * {' (x) '.join([idx.label() for idx in key])}"
         else:
-            mag = abs(coeff)
-            body = key.label() if mag == 1 else f"{mag}*{key.label()}"
+            body = key.label() if mag == "1" else f"{mag}*{key.label()}"
         if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
+            parts.append(body if num > 0 else f"-{body}")
         else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            parts.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(parts)
 
 
@@ -369,14 +373,23 @@ class BracketTable(dict):
                 for e, k in self[g, key]:
                     out[e] = out.get(e, 0) + c * k
                 continue
+            # pairs and triples unpacked: slicing the key made a pair-key
+            # call about a third slower
             if len(key) == 2:
-                # unpacked: slicing the key made a pair-key call about a
-                # third slower
                 a, b = key
                 for e, k in self[g, a]:
                     out[e, b] = out.get((e, b), 0) + c * k
                 for e, k in self[g, b]:
                     out[a, e] = out.get((a, e), 0) + c * k
+                continue
+            if len(key) == 3:
+                a, b, d = key
+                for e, k in self[g, a]:
+                    out[e, b, d] = out.get((e, b, d), 0) + c * k
+                for e, k in self[g, b]:
+                    out[a, e, d] = out.get((a, e, d), 0) + c * k
+                for e, k in self[g, d]:
+                    out[a, b, e] = out.get((a, b, e), 0) + c * k
                 continue
             for slot, x in enumerate(key):
                 head, tail = key[:slot], key[slot + 1:]

@@ -334,10 +334,8 @@ class CohomologyReport:
     target: str
     alpha: Fraction
     window: Window
-    interior: Window
     dim_der: int
     dim_inn: int
-    dim_h1: int
     n_unknowns: int
     n_rows: int
     quotient_names: list[str] = field(default_factory=list)
@@ -345,6 +343,14 @@ class CohomologyReport:
     method: str = "full-window"
     quotient_tables: list[DerivationTable] = field(default_factory=list)
     note: str = ""
+
+    @property
+    def interior(self) -> Window:
+        return self.window.interior()
+
+    @property
+    def dim_h1(self) -> int:
+        return self.dim_der - self.dim_inn
 
     def as_dict(self) -> dict:
         return {
@@ -469,21 +475,19 @@ def solve_h1(
     )
 
     return CohomologyReport(
-        p,
-        target,
-        sys_.alpha,
-        w,
-        w.interior(),
-        dim_der,
-        dim_inn,
-        dim_h1,
-        sys_.n_unknowns,
-        len(sys_.rows),
-        names,
-        certified,
-        method,
-        tables,
-        note,
+        params=p,
+        target=target,
+        alpha=sys_.alpha,
+        window=w,
+        dim_der=dim_der,
+        dim_inn=dim_inn,
+        n_unknowns=sys_.n_unknowns,
+        n_rows=len(sys_.rows),
+        quotient_names=names,
+        certified=certified,
+        method=method,
+        quotient_tables=tables,
+        note=note,
     )
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, NoReturn, Union
 
 from .algebra import BasisIndex, C, Element
@@ -61,8 +62,13 @@ _TENSOR_TERM = re.compile(_SIGNED + r"[ \t]*\(x\)[ \t]*" + _GEN + r"[ \t]*")
 _BLANKS = re.compile(r"[ \t]*")
 
 
+@lru_cache(maxsize=1024)
 def _key(kind, num, den) -> BasisIndex:
-    """The basis key of one generator's groups; ValueError if invalid."""
+    """The basis key of one generator's groups; ValueError if invalid.
+
+    Cached, so a generator read again reuses its key.  An invalid group
+    raises on every call: lru_cache caches no exceptions.
+    """
     if kind is None:
         return C
     if den is None:
@@ -72,10 +78,10 @@ def _key(kind, num, den) -> BasisIndex:
     return BasisIndex(kind, int(num))
 
 
-def _terms(text: str, line: int, tensor: bool) -> dict:
-    """The signed terms of one non-blank literal, one pattern match each."""
+def _terms(text: str, line: int, tensor: bool, terms: dict) -> dict:
+    """Add the signed terms of one non-blank literal to terms, one pattern
+    match each, and return terms."""
     pattern = _TENSOR_TERM if tensor else _ELEMENT_TERM
-    terms: dict = {}
     pos, end = 0, len(text)
     while pos < end:
         m = pattern.match(text, pos)
@@ -87,7 +93,9 @@ def _terms(text: str, line: int, tensor: bool) -> dict:
             if g[0] == "-":
                 num = -num
             coeff = num if g[2] is None else Fraction(num, int(g[2]))
-            key = (_key(*g[3:6]), _key(*g[6:])) if tensor else _key(*g[3:])
+            key = _key(g[3], g[4], g[5])
+            if tensor:
+                key = (key, _key(g[6], g[7], g[8]))
         except ValueError:
             _diagnose(text, pos, line, tensor)
         terms[key] = terms[key] + coeff if key in terms else coeff
@@ -159,7 +167,7 @@ def parse_element(text: str, line: int = 1) -> Element:
         raise LiteralError(ParseDiagnostic(line, len(text) + 1, "empty element literal", "<end>"))
     if text.strip() == "0":
         return Element.zero()
-    return Element(_terms(text, line, tensor=False))
+    return Element(_terms(text, line, False, {}))
 
 
 def parse_tensor2(source: Union[str, Iterable[str]]) -> Tensor2:
@@ -178,13 +186,12 @@ def parse_tensor2(source: Union[str, Iterable[str]]) -> Tensor2:
     for lineno, raw in enumerate(lines, start=1):
         # strip comments only; columns in diagnostics stay exact
         stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
+        if not stripped:
             continue
         parsed_any = True
-        if stripped.strip() == "0":
+        if stripped.lstrip() == "0":
             continue
-        for key, coeff in _terms(stripped, lineno, tensor=True).items():
-            terms[key] = terms[key] + coeff if key in terms else coeff
+        _terms(stripped, lineno, True, terms)
     if not parsed_any:
         raise LiteralError(
             ParseDiagnostic(1, 1, "no tensor terms found", "<empty>")

@@ -50,7 +50,9 @@ class Tensor2(SparseVector):
         """One signed term per line, the r-matrix file format."""
         lines = []
         for (i, j), coeff in sorted(self.terms.items()):
-            lines.append(f"{coeff} * {i.label()} (x) {j.label()}")
+            num, den = coeff.numerator, coeff.denominator
+            text = num if den == 1 else f"{num}/{den}"
+            lines.append(f"{text} * {i.label()} (x) {j.label()}")
         return lines
 
 

@@ -21,6 +21,8 @@ from svlie import (
     degree_of,
     parse_element,
 )
+from svlie.algebra import bracket_table
+from svlie.tensors import Tensor2
 
 HALF = Fraction(1, 2)
 
@@ -232,3 +234,47 @@ def test_random_triple_jacobi_spot_checks():
             + bracket(bracket(z, x, p), y, p)
         )
         assert not lhs
+
+
+def reference_act(table, g, vec):
+    """g . vec with every tuple key taken slot by slot."""
+    out = {}
+    for key, c in vec.items():
+        for slot, x in enumerate(key):
+            for e, k in table[g, x]:
+                res = key[:slot] + (e,) + key[slot + 1:]
+                out[res] = out.get(res, 0) + c * k
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize(
+    "s, lam, central",
+    [(0, 0, True), (0, Fraction(-5, 3), False), (HALF, -1, True), (HALF, 2, False)],
+)
+def test_act_on_triples_and_singles_matches_the_slot_loop(s, lam, central):
+    p = AlgebraParams(s, lam, central)
+    table = bracket_table(p)
+    gens = Window.symmetric(10).basis_indices(p) + [C]
+    rng = random.Random(17)
+    for arity in (3, 1):
+        for _ in range(60):
+            vec = {
+                tuple(rng.choice(gens) for _ in range(arity)): rng.choice(
+                    (1, -1, rng.randint(-40, 40), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                )
+                for _ in range(rng.randint(1, 12))
+            }
+            for g in rng.sample(gens, 6):
+                got = table.act(g, vec)
+                # same terms in the same order, so printed results match too
+                assert list(got.items()) == list(reference_act(table, g, vec).items())
+
+
+def test_int_bool_and_fraction_coefficients_compare_equal():
+    for cls, key in ((Element, L(1)), (Tensor2, (L(1), C))):
+        assert cls({key: 2}) == cls({key: Fraction(2)}) == cls({key: Fraction(4, 2)})
+        assert cls({key: True}) == cls({key: 1}) == cls({key: Fraction(1)})
+        assert cls({key: False}) == cls({key: 0}) == cls({key: Fraction(0)}) == cls.zero()
+        for coeff in (True, 3, Fraction(-1, 2)):
+            assert type(cls({key: coeff}).coeff(key)) is Fraction
+    assert str(Element({L(1): True})) == "L[1]"

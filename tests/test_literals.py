@@ -7,19 +7,80 @@ from fractions import Fraction
 import pytest
 
 from svlie import (
+    BasisIndex,
     C,
     Element,
     L,
     LiteralError,
     M,
     Tensor2,
+    Tensor3,
     Y,
+    literals,
     parse_element,
     parse_tensor2,
 )
 from svlie.verify import random_element, random_tensor
 
 HALF = Fraction(1, 2)
+
+
+# Reference printers that work on the Fraction itself (abs(), > and str())
+# with an uncached label; the library's printers must match them byte for byte.
+def reference_label(idx: BasisIndex) -> str:
+    if idx.kind == "c":
+        return "c"
+    if idx.dd % 2 == 0:
+        return f"{idx.kind}[{idx.dd // 2}]"
+    return f"{idx.kind}[{idx.dd}/2]"
+
+
+def reference_format_terms(items, tensor: bool) -> str:
+    if not items:
+        return "0"
+    parts: list[str] = []
+    for key, coeff in items:
+        if tensor:
+            gens = " (x) ".join(reference_label(idx) for idx in key)
+            body = f"{abs(coeff)} * {gens}"
+        else:
+            mag = abs(coeff)
+            body = reference_label(key) if mag == 1 else f"{mag}*{reference_label(key)}"
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def reference_file_lines(t: Tensor2) -> list[str]:
+    return [
+        f"{coeff} * {reference_label(i)} (x) {reference_label(j)}"
+        for (i, j), coeff in sorted(t.terms.items())
+    ]
+
+
+def printer_coeff(rng: random.Random) -> Fraction:
+    """A nonzero coefficient: +-1, another integer, a half, or one whose
+    numerator or denominator is above 2**64."""
+    sign = rng.choice((1, -1))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Fraction(sign)
+    if kind == 1:
+        return Fraction(sign * rng.randint(2, 60))
+    if kind == 2:
+        return Fraction(sign * (2 * rng.randint(0, 30) + 1), 2)
+    if kind == 3:
+        return Fraction(sign * rng.randint(2**64, 2**90))
+    return Fraction(sign * rng.randint(1, 2**90), rng.randint(2**64 + 1, 2**80))
+
+
+def printer_index(rng: random.Random, s2: int) -> BasisIndex:
+    kind = rng.choice("LMYc")
+    if kind == "c":
+        return C
+    return BasisIndex(kind, 2 * rng.randint(-12, 12) + (s2 if kind == "Y" else 0))
 
 
 class TestParseElement:
@@ -194,3 +255,67 @@ class TestRoundTrip:
     def test_canonical_term_order(self):
         el = parse_element("c + M[1] + L[5] + Y[0]")
         assert str(el) == "L[5] + M[1] + Y[0] + c"
+
+
+class TestPrinterBytes:
+    @pytest.mark.parametrize("s2", [0, 1])
+    def test_integer_printers_match_the_fraction_printers(self, s2):
+        rng = random.Random(1700 + s2)
+        for _ in range(400):
+            el = Element({printer_index(rng, s2): printer_coeff(rng) for _ in range(rng.randint(0, 5))})
+            t2 = Tensor2(
+                {
+                    (printer_index(rng, s2), printer_index(rng, s2)): printer_coeff(rng)
+                    for _ in range(rng.randint(0, 5))
+                }
+            )
+            t3 = Tensor3(
+                {
+                    tuple(printer_index(rng, s2) for _ in range(3)): printer_coeff(rng)
+                    for _ in range(rng.randint(0, 5))
+                }
+            )
+            assert str(el) == reference_format_terms(sorted(el.terms.items()), tensor=False)
+            assert str(t2) == reference_format_terms(sorted(t2.terms.items()), tensor=True)
+            assert str(t3) == reference_format_terms(sorted(t3.terms.items()), tensor=True)
+            assert t2.file_lines() == reference_file_lines(t2)
+            if el:
+                assert parse_element(str(el)) == el
+            if t2:
+                assert parse_tensor2(str(t2)) == t2
+                assert parse_tensor2(t2.file_lines()) == t2
+
+    def test_label_cache_is_bounded(self):
+        for dd in range(-1500, 1500):
+            idx = BasisIndex("Y", dd)
+            assert idx.label() == reference_label(idx)
+        assert BasisIndex.label.cache_info().currsize <= 1024
+
+
+class TestKeyCache:
+    @pytest.mark.parametrize("gen", ["L[1/2]", "Y[1/3]", "M[-5/2]", "Y[ 7/ 3]"])
+    def test_malformed_generator_repeats_its_diagnostic(self, gen):
+        # lru_cache caches no exceptions, so the invalid group raises again
+        for parse, text in (
+            (parse_element, gen),
+            (parse_element, f"L[0] - 1/2*{gen}"),
+            (parse_tensor2, f"3 * {gen} (x) L[0]"),
+            (parse_tensor2, f"L[0] (x) {gen}"),
+        ):
+            diagnostics = []
+            for _ in range(3):
+                with pytest.raises(LiteralError) as exc:
+                    parse(text)
+                diagnostics.append(exc.value.diagnostic)
+            assert diagnostics[0] == diagnostics[1] == diagnostics[2]
+            assert diagnostics[0].message in (
+                "only integers and halves are allowed",
+                f"{gen[0]} takes an integer degree",
+            )
+
+    def test_cache_is_bounded(self):
+        for n in range(1100):  # more than 1,024 distinct indices
+            assert parse_element(f"{n + 2}*L[{n}] - Y[{n}/2]") == Element(
+                {L(n): n + 2, BasisIndex("Y", n): -1}
+            )
+        assert literals._key.cache_info().currsize <= 1024
