@@ -470,7 +470,8 @@ class Window:
         return Window(-((-self.lo) // 2), self.hi // 2)
 
     def indices_at(self, dd: int, p: AlgebraParams) -> list[BasisIndex]:
-        """All basis indices of doubled degree dd inside the window."""
+        """All basis indices of doubled degree dd inside the window,
+        appended in the canonical kind order L, M, Y, c."""
         if not self.contains_dd(dd):
             return []
         out = []
@@ -481,7 +482,7 @@ class Window:
             out.append(BasisIndex("Y", dd))
         if dd == 0 and p.central:
             out.append(C)
-        return sorted(out)
+        return out
 
     def basis_indices(self, p: AlgebraParams) -> list[BasisIndex]:
         """All window generators, in canonical order."""

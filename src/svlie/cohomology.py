@@ -87,7 +87,6 @@ class LinearSystem:
     rows: list[dict[int, int]]
     provenance: list[tuple[BasisIndex, BasisIndex, TargetKey]]
     generators: list[BasisIndex]
-    slice_keys: dict[BasisIndex, list[TargetKey]]
     center_set: Optional[frozenset]
 
     @property
@@ -179,14 +178,12 @@ def assemble(
     base = TENSOR if target == CENTER_TENSOR else target
 
     gens = sorted(w.basis_indices(p), key=_gen_order)
-    slice_keys: dict[BasisIndex, list[TargetKey]] = {}
     labels: list[tuple[BasisIndex, TargetKey]] = []
     # (label id, key) per generator: its labels are contiguous, and the
     # rows share these int objects
     slots: dict[BasisIndex, list[tuple[int, TargetKey]]] = {}
     for g in gens:
         keys = _slice_keys(p, base, w, g.dd + shift, center_set)
-        slice_keys[g] = keys
         slots[g] = list(enumerate(keys, len(labels)))
         labels.extend((g, t) for t in keys)
     index = {lab: i for i, lab in enumerate(labels)}
@@ -288,8 +285,7 @@ def assemble(
             provenance.append((g, h, t))
 
     return LinearSystem(
-        p, target, alpha, w, labels, index, rows, provenance, gens, slice_keys,
-        center_set,
+        p, target, alpha, w, labels, index, rows, provenance, gens, center_set
     )
 
 

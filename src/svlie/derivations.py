@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .algebra import (
     C,
@@ -25,7 +25,7 @@ from .algebra import (
     center_in_window,
     rat,
 )
-from .tensors import Tensor2
+from .tensors import Tensor2, diag_action, tensor_of
 
 __all__ = [
     "CatalogCaseError",
@@ -193,12 +193,7 @@ def inner(v: Value, p: AlgebraParams, w: Window) -> DerivationTable:
     if len(degrees) > 1:
         raise ValueError("inner derivation needs a homogeneous element")
     shift = degrees.pop() if degrees else 0
-    table = bracket_table(p)
-    values = {}
-    for g in w.basis_indices(p):
-        val = table.act(g, v.terms)
-        if val:
-            values[g] = type(v)({key: c / p.scale for key, c in val.items()})
+    values = {g: diag_action(Element.basis(g), v, p) for g in w.basis_indices(p)}
     return DerivationTable(target, Fraction(shift, 2), w, values, name="inner")
 
 
@@ -218,117 +213,65 @@ def inner(v: Value, p: AlgebraParams, w: Window) -> DerivationTable:
 # same values; their span is what the degree-zero tensor cohomology
 # reproduces.
 
-def _w_one(n: int) -> Fraction:
-    return Fraction(1)
-
-
-def _w_n(n: int) -> Fraction:
-    return Fraction(n)
-
-
-def _w_n2(n: int) -> Fraction:
-    return Fraction(n * n)
-
-
-def _w_n3(n: int) -> Fraction:
-    return Fraction(n**3)
-
-
-def _w_n2_minus_n(n: int) -> Fraction:
-    return Fraction(n * n - n)
-
-
-@dataclass(frozen=True)
-class _Member:
-    name: str
-    source: str  # 'L', 'Y', 'Y0' or 'ideal'
-    weight: Callable[[int], Fraction]
-
-    def element_value(self, g: BasisIndex) -> Element:
-        if self.source == "ideal":
-            if g.kind == "M":
-                return Element({g: Fraction(2)})
-            if g.kind == "Y":
-                return Element.basis(g)
-            return Element.zero()
-        if self.source == "Y0":
-            return Element.basis(C) if g == BasisIndex("Y", 0) else Element.zero()
-        if self.source == "L" and g.kind == "L":
-            coeff = self.weight(g.dd // 2)
-            return Element({BasisIndex("M", g.dd): coeff})
-        if self.source == "Y" and g.kind == "Y":
-            # integer sector only; Y and M then share doubled degrees
-            coeff = self.weight(g.dd // 2)
-            return Element({BasisIndex("M", g.dd): coeff})
-        return Element.zero()
-
-
-_IDEAL_SCALE = _Member("ideal_scale", "ideal", _w_one)
-
-_CASE_MEMBERS: dict[tuple[int, object], list[_Member]] = {
-    # s = 1/2 rows, keyed by the deformation parameter
-    (1, Fraction(0)): [
-        _IDEAL_SCALE,
-        _Member("l_to_m_1", "L", _w_one),
-        _Member("l_to_m_n", "L", _w_n),
-    ],
-    (1, Fraction(-1)): [_IDEAL_SCALE, _Member("l_to_m_n2_minus_n", "L", _w_n2_minus_n)],
-    (1, Fraction(-2)): [_IDEAL_SCALE, _Member("l_to_m_n3", "L", _w_n3)],
-    (1, "generic"): [_IDEAL_SCALE],
-    # s = 0 rows
-    (0, Fraction(0)): [
-        _IDEAL_SCALE,
-        _Member("l_to_m_1", "L", _w_one),
-        _Member("l_to_m_n", "L", _w_n),
-    ],
-    (0, Fraction(-1)): [
-        _IDEAL_SCALE,
-        _Member("l_to_m_n2", "L", _w_n2),
-        _Member("y_to_m_n", "Y", _w_n),
-    ],
-    (0, Fraction(-2)): [_IDEAL_SCALE, _Member("l_to_m_n3", "L", _w_n3)],
-    (0, Fraction(1)): [_IDEAL_SCALE, _Member("y_to_m_1", "Y", _w_one)],
-    # [L_n, Y_-n] = 0 at -3, so Y_0 is no bracket and Y_0 -> c is a derivation
-    (0, Fraction(-3)): [_IDEAL_SCALE, _Member("y0_to_c", "Y0", _w_one)],
-    (0, "generic"): [_IDEAL_SCALE],
+# name -> (source kind, weight at n); only the L and Y kinds read the weight
+_MEMBERS = {
+    "ideal_scale": ("ideal", None),
+    "l_to_m_1": ("L", lambda n: 1),
+    "l_to_m_n": ("L", lambda n: n),
+    "l_to_m_n2": ("L", lambda n: n * n),
+    "l_to_m_n3": ("L", lambda n: n**3),
+    "l_to_m_n2_minus_n": ("L", lambda n: n * n - n),
+    "y_to_m_1": ("Y", lambda n: 1),
+    "y_to_m_n": ("Y", lambda n: n),
+    "y0_to_c": ("Y0", None),
 }
 
-_SPECIAL = {0: {Fraction(0), Fraction(1), Fraction(-1), Fraction(-2), Fraction(-3)},
-            1: {Fraction(0), Fraction(-1), Fraction(-2)}}
+# (2s, lam) -> member names; every other lam of a sector is "generic"
+_CASE_MEMBERS: dict[tuple[int, object], tuple[str, ...]] = {
+    (1, Fraction(0)): ("ideal_scale", "l_to_m_1", "l_to_m_n"),
+    (1, Fraction(-1)): ("ideal_scale", "l_to_m_n2_minus_n"),
+    (1, Fraction(-2)): ("ideal_scale", "l_to_m_n3"),
+    (1, "generic"): ("ideal_scale",),
+    (0, Fraction(0)): ("ideal_scale", "l_to_m_1", "l_to_m_n"),
+    (0, Fraction(-1)): ("ideal_scale", "l_to_m_n2", "y_to_m_n"),
+    (0, Fraction(-2)): ("ideal_scale", "l_to_m_n3"),
+    (0, Fraction(1)): ("ideal_scale", "y_to_m_1"),
+    # [L_n, Y_-n] = 0 at -3, so Y_0 is no bracket and Y_0 -> c is a derivation
+    (0, Fraction(-3)): ("ideal_scale", "y0_to_c"),
+    (0, "generic"): ("ideal_scale",),
+}
 
 
 def case_label(p: AlgebraParams) -> object:
     """The case row key for (s, lam): the special value or 'generic'."""
-    return p.lam if p.lam in _SPECIAL[p.s2] else "generic"
+    return p.lam if (p.s2, p.lam) in _CASE_MEMBERS else "generic"
 
 
-def _case_members(p: AlgebraParams) -> list[_Member]:
-    members = _CASE_MEMBERS[p.s2, case_label(p)]
-    return [m for m in members if p.central or m.source != "Y0"]
+def _case_members(p: AlgebraParams) -> list[str]:
+    names = _CASE_MEMBERS[p.s2, case_label(p)]
+    return [n for n in names if p.central or _MEMBERS[n][0] != "Y0"]
 
 
-def _algebra_table(member: _Member, w: Window, p: AlgebraParams) -> dict[BasisIndex, Element]:
+def _algebra_table(name: str, w: Window, p: AlgebraParams) -> dict[BasisIndex, Element]:
+    """The values of the member name, at unit scalar, on every window
+    generator; zero values are dropped by DerivationTable."""
+    source, weight = _MEMBERS[name]
     values = {}
     for g in w.basis_indices(p):
-        val = member.element_value(g)
-        if val:
-            values[g] = val
+        if source == "ideal" and g.kind in ("M", "Y"):
+            values[g] = Element({g: 2 if g.kind == "M" else 1})
+        elif source == "Y0" and g == BasisIndex("Y", 0):
+            values[g] = Element.basis(C)
+        elif source == g.kind:
+            # Y rows are integer-sector only; Y and M then share doubled degrees
+            values[g] = Element({BasisIndex("M", g.dd): weight(g.dd // 2)})
     return values
 
 
 def _tensorize(values: Mapping[BasisIndex, Element], leg: Element, side: str) -> dict:
-    out = {}
-    for g, val in values.items():
-        terms = {}
-        for idx, coeff in val.terms.items():
-            for z, cz in leg.terms.items():
-                key = (z, idx) if side == "left" else (idx, z)
-                c = coeff * cz
-                terms[key] = terms[key] + c if key in terms else c
-        t = Tensor2(terms)
-        if t:
-            out[g] = t
-    return out
+    if side == "left":
+        return {g: tensor_of(leg, val) for g, val in values.items()}
+    return {g: tensor_of(val, leg) for g, val in values.items()}
 
 
 def catalog_basis(p: AlgebraParams, target: str, w: Window) -> list[DerivationTable]:
@@ -345,19 +288,18 @@ def catalog_basis(p: AlgebraParams, target: str, w: Window) -> list[DerivationTa
     members = _case_members(p)
     if target == ALGEBRA:
         return [
-            DerivationTable(ALGEBRA, Fraction(0), w, _algebra_table(member, w, p),
-                            name=member.name)
-            for member in members
+            DerivationTable(ALGEBRA, Fraction(0), w, _algebra_table(name, w, p), name=name)
+            for name in members
         ]
     legs = center_in_window(p, w)
     tables = []
-    for member in members:
-        base = _algebra_table(member, w, p)
+    for name in members:
+        base = _algebra_table(name, w, p)
         for side in ("left", "right"):
             for leg in legs:
                 tables.append(
                     DerivationTable(TENSOR, Fraction(0), w, _tensorize(base, leg, side),
-                                    name=f"{member.name}|{side}|{leg}")
+                                    name=f"{name}|{side}|{leg}")
                 )
     return tables
 
@@ -373,40 +315,38 @@ def catalog(
     With params=None, emit the unit basis family.  Otherwise params maps
     member names (algebra target) to rational coefficients, or keys
     '<member>_left'/'<member>_right' (tensor target) to central Elements
-    that fold the scalar and the center leg together.  Unknown keys raise
-    CatalogCaseError, so requesting a constructor under the wrong
+    that fold the scalar and the center leg together.  Unknown keys, or
+    no key at all, raise CatalogCaseError, so requesting a constructor under the wrong
     deformation parameter fails loudly.
     """
     if params is None:
         return catalog_basis(p, target, w)
-    members = {m.name: m for m in _case_members(p)}
+    members = _case_members(p)
     if target == ALGEBRA:
         allowed = set(members)
     else:
         allowed = {f"{n}_{side}" for n in members for side in ("left", "right")}
     unknown = sorted(set(params) - allowed)
-    if unknown:
+    if unknown or not params:
+        what = f"no constructor {unknown[0]!r}" if unknown else "params names no constructor"
         raise CatalogCaseError(
-            f"no constructor {unknown[0]!r} for the case {p.describe()}; "
-            f"allowed: {sorted(allowed)}"
+            f"{what} for the case {p.describe()}; allowed: {sorted(allowed)}"
         )
     combined: Optional[DerivationTable] = None
     for key, value in sorted(params.items()):
         if target == ALGEBRA:
-            member = members[key]
             piece = DerivationTable(
-                ALGEBRA, Fraction(0), w, _algebra_table(member, w, p), name=key
+                ALGEBRA, Fraction(0), w, _algebra_table(key, w, p), name=key
             ).scaled(rat(value))
         else:
             name, side = key.rsplit("_", 1)
             if not isinstance(value, Element):
                 raise CatalogCaseError(f"{key} takes a central Element leg")
-            base = _algebra_table(members[name], w, p)
+            base = _algebra_table(name, w, p)
             piece = DerivationTable(
                 TENSOR, Fraction(0), w, _tensorize(base, value, side), name=key
             )
         combined = piece if combined is None else combined + piece
-    assert combined is not None
     combined.name = "+".join(sorted(params))
     return [combined]
 

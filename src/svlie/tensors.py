@@ -19,6 +19,7 @@ from .algebra import (
     SparseVector,
     Window,
     bracket_table,
+    format_terms,
     generating_set,
 )
 
@@ -48,12 +49,7 @@ class Tensor2(SparseVector):
 
     def file_lines(self) -> list[str]:
         """One signed term per line, the r-matrix file format."""
-        lines = []
-        for (i, j), coeff in sorted(self.terms.items()):
-            num, den = coeff.numerator, coeff.denominator
-            text = num if den == 1 else f"{num}/{den}"
-            lines.append(f"{text} * {i.label()} (x) {j.label()}")
-        return lines
+        return [format_terms([item], tensor=True) for item in sorted(self.terms.items())]
 
 
 class Tensor3(SparseVector):

@@ -151,6 +151,12 @@ class TestDegreeAndWindow:
         assert BasisIndex("Y", 1) in half and BasisIndex("Y", 2) not in half
         integer = w.basis_indices(AlgebraParams(0, 0))
         assert BasisIndex("Y", 2) in integer and BasisIndex("Y", 1) not in integer
+        # indices_at appends L, M, Y, c: already the canonical order
+        for s in (Fraction(0), HALF):
+            for central in (True, False):
+                p = AlgebraParams(s, 0, central)
+                for dd in range(w.lo, w.hi + 1):
+                    assert w.indices_at(dd, p) == sorted(w.indices_at(dd, p))
 
     def test_centerless_window_has_no_c(self):
         w = Window.symmetric(4)

@@ -1,6 +1,8 @@
 """Derivation tables: catalog constructors, inner derivations, components."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 
@@ -21,7 +23,7 @@ from svlie import (
     is_derivation,
     parse_element,
 )
-from svlie.algebra import C
+from svlie.algebra import C, bracket_table, center_in_window
 from svlie.derivations import (
     CatalogCaseError,
     case_label,
@@ -67,6 +69,192 @@ CASES = [
     (Fraction(0), Fraction(1)),
     (Fraction(0), Fraction(5)),
 ]
+
+
+# ---------------------------------------------------------------------------
+# Reference catalog: one record per member with its own value rule, a
+# separate special-lambda set and a term-by-term tensor product.  The
+# data table of svlie.derivations must emit the same tables.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RefMember:
+    name: str
+    source: str  # 'L', 'Y', 'Y0' or 'ideal'
+    weight: Callable[[int], Fraction]
+
+    def element_value(self, g: BasisIndex) -> Element:
+        if self.source == "ideal":
+            if g.kind == "M":
+                return Element({g: Fraction(2)})
+            if g.kind == "Y":
+                return Element.basis(g)
+            return Element.zero()
+        if self.source == "Y0":
+            return Element.basis(C) if g == BasisIndex("Y", 0) else Element.zero()
+        if self.source == "L" and g.kind == "L":
+            return Element({BasisIndex("M", g.dd): self.weight(g.dd // 2)})
+        if self.source == "Y" and g.kind == "Y":
+            # integer sector only; Y and M then share doubled degrees
+            return Element({BasisIndex("M", g.dd): self.weight(g.dd // 2)})
+        return Element.zero()
+
+
+REF_IDEAL = RefMember("ideal_scale", "ideal", lambda n: Fraction(1))
+REF_ROWS = {
+    (1, Fraction(0)): [
+        REF_IDEAL,
+        RefMember("l_to_m_1", "L", lambda n: Fraction(1)),
+        RefMember("l_to_m_n", "L", lambda n: Fraction(n)),
+    ],
+    (1, Fraction(-1)): [REF_IDEAL, RefMember("l_to_m_n2_minus_n", "L", lambda n: Fraction(n * n - n))],
+    (1, Fraction(-2)): [REF_IDEAL, RefMember("l_to_m_n3", "L", lambda n: Fraction(n**3))],
+    (1, "generic"): [REF_IDEAL],
+    (0, Fraction(0)): [
+        REF_IDEAL,
+        RefMember("l_to_m_1", "L", lambda n: Fraction(1)),
+        RefMember("l_to_m_n", "L", lambda n: Fraction(n)),
+    ],
+    (0, Fraction(-1)): [
+        REF_IDEAL,
+        RefMember("l_to_m_n2", "L", lambda n: Fraction(n * n)),
+        RefMember("y_to_m_n", "Y", lambda n: Fraction(n)),
+    ],
+    (0, Fraction(-2)): [REF_IDEAL, RefMember("l_to_m_n3", "L", lambda n: Fraction(n**3))],
+    (0, Fraction(1)): [REF_IDEAL, RefMember("y_to_m_1", "Y", lambda n: Fraction(1))],
+    (0, Fraction(-3)): [REF_IDEAL, RefMember("y0_to_c", "Y0", lambda n: Fraction(1))],
+    (0, "generic"): [REF_IDEAL],
+}
+REF_SPECIAL = {
+    0: {Fraction(0), Fraction(1), Fraction(-1), Fraction(-2), Fraction(-3)},
+    1: {Fraction(0), Fraction(-1), Fraction(-2)},
+}
+
+
+def reference_case_label(p):
+    return p.lam if p.lam in REF_SPECIAL[p.s2] else "generic"
+
+
+def reference_members(p):
+    members = REF_ROWS[p.s2, reference_case_label(p)]
+    return [m for m in members if p.central or m.source != "Y0"]
+
+
+def reference_values(member, w, p):
+    values = {}
+    for g in w.basis_indices(p):
+        val = member.element_value(g)
+        if val:
+            values[g] = val
+    return values
+
+
+def reference_tensorize(values, leg, side):
+    out = {}
+    for g, val in values.items():
+        terms = {}
+        for idx, coeff in val.terms.items():
+            for z, cz in leg.terms.items():
+                key = (z, idx) if side == "left" else (idx, z)
+                terms[key] = terms.get(key, 0) + coeff * cz
+        t = Tensor2(terms)
+        if t:
+            out[g] = t
+    return out
+
+
+def reference_catalog_basis(p, target, w):
+    members = reference_members(p)
+    if target == "algebra":
+        return [
+            DerivationTable("algebra", Fraction(0), w, reference_values(m, w, p), name=m.name)
+            for m in members
+        ]
+    legs = center_in_window(p, w)
+    return [
+        DerivationTable(
+            "tensor-square", Fraction(0), w,
+            reference_tensorize(reference_values(m, w, p), leg, side),
+            name=f"{m.name}|{side}|{leg}",
+        )
+        for m in members for side in ("left", "right") for leg in legs
+    ]
+
+
+def reference_catalog(p, target, w, params):
+    members = {m.name: m for m in reference_members(p)}
+    values: dict = {}
+    for key, value in sorted(params.items()):
+        if target == "algebra":
+            piece = {
+                g: v.scaled(value) for g, v in reference_values(members[key], w, p).items()
+            }
+        else:
+            name, side = key.rsplit("_", 1)
+            piece = reference_tensorize(reference_values(members[name], w, p), value, side)
+        for g, v in piece.items():
+            values[g] = values[g] + v if g in values else v
+    return DerivationTable(target, Fraction(0), w, values, name="+".join(sorted(params)))
+
+
+def reference_inner(v, p, w):
+    table = bracket_table(p)
+    values = {}
+    for g in w.basis_indices(p):
+        val = table.act(g, v.terms)
+        if val:
+            values[g] = type(v)({key: c / p.scale for key, c in val.items()})
+    return values
+
+
+REF_LAMBDAS = sorted(
+    {Fraction(k, 4) for k in range(-16, 17)} | {Fraction(-5, 3), Fraction(5), Fraction(-3)}
+)
+REF_WINDOWS = [
+    Window.symmetric(1), Window.symmetric(4), Window.symmetric(8), Window(-6, 0), Window(0, 9)
+]
+
+
+class TestCatalogReference:
+    @pytest.mark.parametrize("s", [Fraction(0), HALF], ids=["s=0", "s=1/2"])
+    @pytest.mark.parametrize("central", [True, False], ids=["central", "centerless"])
+    def test_catalog_basis_matches_reference(self, s, central):
+        for lam in REF_LAMBDAS:
+            p = AlgebraParams(s, lam, central)
+            assert case_label(p) == reference_case_label(p), p.describe()
+            for w in REF_WINDOWS:
+                for target in ("algebra", "tensor-square"):
+                    got = [table_to_json(t) for t in catalog_basis(p, target, w)]
+                    want = [table_to_json(t) for t in reference_catalog_basis(p, target, w)]
+                    assert got == want, (p.describe(), target, w)
+
+    @pytest.mark.parametrize("central", [True, False], ids=["central", "centerless"])
+    def test_catalog_params_match_reference(self, central):
+        leg = parse_element("3/2*M[0] - 2*c")
+        for (s2, lam), members in REF_ROWS.items():
+            lam = Fraction(7) if lam == "generic" else lam
+            p = AlgebraParams(Fraction(s2, 2), lam, central)
+            names = [m.name for m in reference_members(p)]
+            scalars = {n: Fraction(-3, 2) * (i + 1) for i, n in enumerate(names)}
+            legs = {f"{n}_{side}": leg for n in names for side in ("left", "right")}
+            for w in (Window.symmetric(8), Window(0, 9)):
+                for target, params in (("algebra", scalars), ("tensor-square", legs)):
+                    (got,) = catalog(p, target, w, params=params)
+                    want = reference_catalog(p, target, w, params)
+                    assert table_to_json(got) == table_to_json(want), (p.describe(), target)
+
+    @pytest.mark.parametrize("s,lam", [(HALF, Fraction(-1)), (Fraction(0), Fraction(-5, 3))])
+    def test_inner_matches_reference(self, s, lam):
+        p = AlgebraParams(s, lam)
+        w = Window.symmetric(8)
+        for v in (
+            Element.basis(L(1)),
+            parse_element("-2/3*M[-2]"),
+            Element.basis(Y(s)),
+            Tensor2.basis(L(1), M(-1)),
+            Tensor2({(M(0), C): Fraction(5, 2), (C, L(0)): Fraction(-1)}),
+        ):
+            assert inner(v, p, w).values == reference_inner(v, p, w)
 
 
 class TestCatalog:
@@ -169,6 +357,11 @@ class TestCatalog:
             catalog(AlgebraParams(HALF, 3), "algebra", W12, params={"l_to_m_n2_minus_n": 1})
         with pytest.raises(CatalogCaseError):
             catalog(AlgebraParams(0, 0), "algebra", W12, params={"l_to_m_n3": 1})
+
+    @pytest.mark.parametrize("target", ["algebra", "tensor-square"])
+    def test_case_error_for_empty_params(self, target):
+        with pytest.raises(CatalogCaseError, match="names no constructor"):
+            catalog(AlgebraParams(0, 0), target, W12, params={})
 
     def test_minus_three_family(self):
         p = AlgebraParams(0, -3)

@@ -242,7 +242,6 @@ def assert_matches_reference(s, lam, targets, degrees, windows):
                     assert system.rows == rows, case
                     assert system.provenance == prov, case
                     assert system.generators == gens, case
-                    assert system.slice_keys == keys, case
                     assert system.center_set == center, case
                     assert inner_vectors(system) == reference_inner_vectors(
                         p, target, alpha, w, index, gens, center
