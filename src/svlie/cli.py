@@ -74,7 +74,10 @@ def _validate(args: argparse.Namespace) -> None:
     bound = args.window
     if not (0 < bound <= MAX_WINDOW):
         raise UsageError(f"window bound must be in 1..{MAX_WINDOW}, got {bound}")
-    if args.command in ("invariants", "skew-lemma") and bound < MIN_INTERIOR_WINDOW:
+    if (
+        args.command in ("invariants", "skew-lemma", "verify-paper")
+        and bound < MIN_INTERIOR_WINDOW
+    ):
         raise UsageError(
             f"{args.command} needs --window at least {MIN_INTERIOR_WINDOW}: the "
             f"interior check needs at least L[-2..2], got {bound}"

@@ -166,6 +166,10 @@ def assemble(
     of L0 and x the terms D([L0, x]) and L0 . D(x) cancel and only x
     acting on D(L0) is summed.  A pair whose generators and bracket terms
     all have empty slices builds no block and is skipped.
+
+    On the center-tensor target only the rows at keys with a central first
+    leg are emitted: the others are their twists (README, "The twist
+    halving").  labels and index stay complete.
     """
     if target not in (ALGEBRA, TENSOR, CENTER_TENSOR):
         raise ValueError(f"unknown target {target!r}")
@@ -182,10 +186,16 @@ def assemble(
     # (label id, key) per generator: its labels are contiguous, and the
     # rows share these int objects
     slots: dict[BasisIndex, list[tuple[int, TargetKey]]] = {}
+    # center tensor: slots keeps the keys (z, x) and mirrored the (x, z),
+    # z central and x not
+    mirrored: dict[BasisIndex, list[tuple[int, TargetKey]]] = {}
     for g in gens:
         keys = _slice_keys(p, base, w, g.dd + shift, center_set)
         slots[g] = list(enumerate(keys, len(labels)))
         labels.extend((g, t) for t in keys)
+        if center_set is not None:
+            mirrored[g] = [s for s in slots[g] if s[1][0] not in center_set]
+            slots[g] = [s for s in slots[g] if s[1][0] in center_set]
     index = {lab: i for i, lab in enumerate(labels)}
 
     lo, hi = w.lo, w.hi
@@ -250,12 +260,20 @@ def assemble(
                         cell[lab] = cell.get(lab, 0) + sign * k
                     continue
                 a, b = t
-                for e, k in table[actor, a]:
-                    cell = block.setdefault((e, b), {})
-                    cell[lab] = cell.get(lab, 0) + sign * k
+                if center_set is None:  # window generators kill the center
+                    for e, k in table[actor, a]:
+                        cell = block.setdefault((e, b), {})
+                        cell[lab] = cell.get(lab, 0) + sign * k
                 for e, k in table[actor, b]:
                     cell = block.setdefault((a, e), {})
                     cell[lab] = cell.get(lab, 0) + sign * k
+            # a key (x, z) reaches a row (z', z) only if deg [actor, x] = 0
+            if mirrored and actor.dd + source.dd + shift == 0:
+                for lab, (x, z) in mirrored[source]:
+                    for e, k in table[actor, x]:
+                        if e in center_set:
+                            cell = block.setdefault((e, z), {})
+                            cell[lab] = cell.get(lab, 0) + sign * k
         if not on_algebra:
             rg, rh = reach[g], reach[h]
             bounds = {
@@ -383,16 +401,71 @@ def _restricted(vec: dict[int, Fraction], keep: frozenset) -> dict[int, int]:
     return int_row({k: v for k, v in vec.items() if k in keep})
 
 
-def _elimination_order(system: LinearSystem) -> list[dict[int, int]]:
+def _elimination_order(system: LinearSystem, pairs=None) -> list[dict[int, int]]:
     """The rows in the order solve_h1 inserts them: at a nonzero degree
-    the rows of the pairs that contain L[0] first, otherwise as assembled."""
+    the rows of the pairs that contain L[0] first, otherwise as assembled.
+    pairs, when given, are the (row, provenance) pairs to order instead of
+    all of the system's."""
     if not system.alpha:
-        return system.rows
+        return system.rows if pairs is None else [row for row, _ in pairs]
+    if pairs is None:
+        pairs = list(zip(system.rows, system.provenance))
     l0 = L(0)
-    pairs = list(zip(system.rows, system.provenance))
     return [row for row, (g, h, _) in pairs if l0 in (g, h)] + [
         row for row, (g, h, _) in pairs if l0 not in (g, h)
     ]
+
+
+def _twist_parts(system: LinearSystem, interior: frozenset) -> tuple[list, list]:
+    """The rows at keys (z, x), x outside the center, in elimination
+    order; and for the twist-symmetric and antisymmetric parts the rows at
+    keys (z, z') folded into the part, with the part's interior labels.
+
+    A label (x, z) folds onto its twin (z, x) and a pair (z, z'), (z', z)
+    onto its lower id, times +1 or -1; (z, z) is 0 in the antisymmetric
+    part.  The kernel is the direct sum of the parts' kernels.
+    """
+    center = system.center_set
+    labels, index = system.labels, system.index
+
+    def fold(lab):
+        # (representative, its factor in the antisymmetric part)
+        g, (a, b) = labels[lab]
+        if b not in center:
+            return lab, 1
+        t = index[(g, (b, a))]
+        if a not in center or t < lab:
+            return t, -1
+        return lab, int(lab != t)
+
+    a_pairs, f_rows = [], []
+    for pair in zip(system.rows, system.provenance):
+        if pair[1][2][1] in center:
+            f_rows.append(pair[0])
+        else:
+            a_pairs.append(pair)
+    folds = {}
+    for row in f_rows:
+        for lab in row:
+            if lab not in folds:
+                folds[lab] = fold(lab)
+    own = []
+    for lab in sorted(interior):
+        if labels[lab][1][0] in center:
+            rep, sign = fold(lab)
+            if rep == lab:
+                own.append((lab, sign))
+    parts = []
+    for anti in (False, True):
+        rows = []
+        for row in f_rows:
+            out: dict[int, int] = {}
+            for lab, c in row.items():
+                rep, sign = folds[lab]
+                out[rep] = out.get(rep, 0) + (sign * c if anti else c)
+            rows.append({lab: c for lab, c in out.items() if c})
+        parts.append((rows, [lab for lab, sign in own if sign or not anti]))
+    return _elimination_order(system, a_pairs), parts
 
 
 def solve_h1(
@@ -418,6 +491,8 @@ def solve_h1(
     support; see the README).  The tensor-square target is therefore
     solved on the center-legged submodule, whose slices are finite and
     faithful; the unreduced system remains available through assemble().
+    It is ranked as its twist-symmetric plus antisymmetric part
+    (_twist_parts); rows counts the full system, twin rows included.
 
     At a nonzero degree alpha the rows of the pairs that contain L[0] are
     eliminated first: they read alpha D(h) = [h, D(L[0])], so every D(h)
@@ -433,16 +508,22 @@ def solve_h1(
             f"system target {system.target!r} does not match {solve_target!r}"
         )
     sys_ = system if system is not None else assemble(p, solve_target, alpha, w)
-    ech = RowEchelon()
-    for row in _elimination_order(sys_):
-        ech.insert(row)
-
     interior = frozenset(sys_.interior_ids())
-    ech_aug = ech.copy()
+    if sys_.center_set is None:
+        head, parts = [], [(_elimination_order(sys_), sorted(interior))]
+    else:
+        head, parts = _twist_parts(sys_, interior)
+    ech = RowEchelon()
+    for row in head:
+        ech.insert(row)
     dim_der = 0
-    for lab in sorted(interior):
-        if ech_aug.insert({lab: 1}) is not None:
-            dim_der += 1
+    for rows, units in parts:
+        ech_part = ech.copy()
+        for row in rows:
+            ech_part.insert(row)
+        for lab in units:
+            if ech_part.insert({lab: 1}) is not None:
+                dim_der += 1
 
     inn = inner_vectors(sys_)
     ech_inn = RowEchelon()
@@ -478,7 +559,7 @@ def solve_h1(
         dim_der=dim_der,
         dim_inn=dim_inn,
         n_unknowns=sys_.n_unknowns,
-        n_rows=len(sys_.rows),
+        n_rows=len(sys_.rows) + len(head),
         quotient_names=names,
         certified=certified,
         method=method,

@@ -185,6 +185,16 @@ class TestCheckCommands:
         )
         assert code == 0
 
+    def test_verify_paper_window_floor(self, capsys):
+        # criterion 9 fails falsely at windows 1-3, for example (0, -2)
+        # reads left 3 against right 2 at window 2
+        code, out, err = run_cli(capsys, "verify-paper", "--window", "3")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: verify-paper needs --window at least 4: the interior check "
+            "needs at least L[-2..2], got 3\n"
+        )
+
     def test_coboundary(self, capsys, tmp_path):
         path = tmp_path / "witt.r"
         path.write_text(WITT_R)

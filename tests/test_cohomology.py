@@ -51,10 +51,28 @@ def vector_to_table(system, vec, name=""):
     return DerivationTable(base, system.alpha, system.window, built, name=name)
 
 
+def full_rows(system):
+    """Every row of the system: assemble's rows, then on the center-tensor
+    target the twist of each row at a key (z, x) with x outside the center
+    (assemble emits only the rows with a central first leg)."""
+    center = system.center_set
+    if center is None:
+        return system.rows
+    twins = []
+    for row, (_, _, t) in zip(system.rows, system.provenance):
+        if t[1] not in center:
+            twin = {}
+            for lab, c in row.items():
+                g, (a, b) = system.labels[lab]
+                twin[system.index[(g, (b, a))]] = c
+            twins.append(twin)
+    return system.rows + twins
+
+
 def kernel_tables(system):
     """Full kernel basis as tables; intended for small windows."""
     ech = RowEchelon()
-    for row in system.rows:
+    for row in full_rows(system):
         ech.insert(row)
     return [
         vector_to_table(system, vec, name=f"kernel-{k}")
@@ -64,7 +82,7 @@ def kernel_tables(system):
 
 def residual_is_zero(system, vec):
     """Every row of the system annihilates vec, in Fractions."""
-    for row in system.rows:
+    for row in full_rows(system):
         total = Fraction(0)
         for col, coeff in row.items():
             xv = vec.get(col)

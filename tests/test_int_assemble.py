@@ -9,6 +9,13 @@ computed again for the inner vectors.  The systems built on either path
 must agree exactly: labels, rows, provenance, index, slice keys and the
 inner vectors.
 
+On the center-tensor target `assemble` emits the rows at the keys with a
+central first leg; they are compared with the reference rows at those
+keys, in order.  The twist tests check on the reference's full system
+that the rows at the other keys are the twists of rows `assemble` emits,
+and a full-system `solve_h1` over the reference rows pins the twist-split
+solver's reports.
+
 The generating-set tests compare the rows `assemble` keeps with every
 pair's rows, obtained by patching `generating_set` to return every window
 generator.
@@ -25,6 +32,7 @@ from svlie.algebra import (
     BasisIndex,
     Element,
     L,
+    M,
     Window,
     Y,
     bracket,
@@ -35,13 +43,15 @@ from svlie import cohomology
 from svlie.cohomology import (
     CASE_ROWS,
     CENTER_TENSOR,
+    CohomologyReport,
     _center_index_set,
     _gen_order,
+    _twist_parts,
     assemble,
     inner_vectors,
     solve_h1,
 )
-from svlie.derivations import ALGEBRA, TENSOR
+from svlie.derivations import ALGEBRA, TENSOR, catalog_basis
 from svlie.linalg import RowEchelon, int_row
 
 HALF = Fraction(1, 2)
@@ -204,6 +214,13 @@ def reference_assemble(p, target, alpha, w):
     return labels, index, rows, provenance, gens, slice_keys, center_set
 
 
+@lru_cache(maxsize=None)
+def reference_center_tensor(p, alpha, w):
+    """reference_assemble on the center-tensor target, memoized: the
+    assembly, twist and solver tests share it."""
+    return reference_assemble(p, CENTER_TENSOR, alpha, w)
+
+
 def reference_inner_vectors(p, target, alpha, w, index, gens, center_set):
     base = TENSOR if target == CENTER_TENSOR else target
     out = []
@@ -235,8 +252,15 @@ def assert_matches_reference(s, lam, targets, degrees, windows):
                     case = (p, target, alpha, w)
                     system = assemble(p, target, alpha, w)
                     labels, index, rows, prov, gens, keys, center = (
-                        reference_assemble(p, target, alpha, w)
+                        reference_center_tensor(p, alpha, w)
+                        if target == CENTER_TENSOR
+                        else reference_assemble(p, target, alpha, w)
                     )
+                    if center is not None:
+                        # assemble emits the rows at keys (z, x), z central
+                        emitted = [i for i, t in enumerate(prov) if t[2][0] in center]
+                        rows = [rows[i] for i in emitted]
+                        prov = [prov[i] for i in emitted]
                     assert system.labels == labels, case
                     assert system.index == index, case
                     assert system.rows == rows, case
@@ -264,6 +288,156 @@ def test_tensor_row_filter_on_one_sided_windows(s, lam):
         (Fraction(0), Fraction(2), Fraction(-2)),
         (Window(0, 6), Window(-6, 0)),
     )
+
+
+# the assembly grid plus window 1
+TWIST_WINDOWS = WINDOWS + [Window.symmetric(1)]
+
+
+def twist_cases(s, lam):
+    for central in (True, False):
+        p = AlgebraParams(s, lam, central)
+        for alpha in DEGREES:
+            for w in TWIST_WINDOWS:
+                yield p, alpha, w
+
+
+def twist_row(labels, index, row):
+    """row with every label (g, (a, b)) replaced by (g, (b, a))."""
+    out = {}
+    for lab, c in row.items():
+        g, (a, b) = labels[lab]
+        out[index[(g, (b, a))]] = c
+    return out
+
+
+@pytest.mark.parametrize("s,lam", ROWS, ids=[f"{s}:{lam}" for s, lam in ROWS])
+def test_center_tensor_rows_are_twist_symmetric(s, lam):
+    """On the full reference system, with Z the window center: the rows at
+    keys (x, z), x outside Z, are exactly the twists of the rows at keys
+    (z, x), and those touch only labels (g, (z', x')) with x' outside Z."""
+    for p, alpha, w in twist_cases(s, lam):
+        case = (p, alpha, w)
+        labels, index, rows, prov, _, _, center = reference_center_tensor(p, alpha, w)
+        if lam == 0:
+            # window 1 at s = 0 holds only degree 0, all of it central there
+            if w == Window.symmetric(1) and not p.s2:
+                assert center == set(w.indices_at(0, p)), case
+            else:
+                assert center == ({C, M(0)} if p.central else {M(0)}), case
+        by_key = dict(zip(prov, rows))
+        assert len(by_key) == len(rows), case
+        a_keys = [(g, h, t) for g, h, t in prov if t[1] not in center]
+        b_keys = [(g, h, t) for g, h, t in prov if t[0] not in center]
+        assert len(a_keys) == len(b_keys), case
+        for g, h, (z, x) in a_keys:
+            row = by_key[(g, h, (z, x))]
+            assert z in center, case
+            for lab in row:
+                a, b = labels[lab][1]
+                assert a in center and b not in center, (case, labels[lab])
+            assert by_key[(g, h, (x, z))] == twist_row(labels, index, row), case
+
+
+@pytest.mark.parametrize("s,lam", ROWS, ids=[f"{s}:{lam}" for s, lam in ROWS])
+def test_twist_parts_kernels_add_up(s, lam):
+    """The kernel of the full reference system is the direct sum of the
+    twist-symmetric and antisymmetric kernels: with every label as an
+    interior label, the unit rows of both parts add the full nullity."""
+    for p, alpha, w in twist_cases(s, lam):
+        system = assemble(p, CENTER_TENSOR, alpha, w)
+        head, parts = _twist_parts(system, frozenset(range(system.n_unknowns)))
+        nullity = 0
+        for rows, units in parts:
+            ech = RowEchelon()
+            for row in head + rows:
+                ech.insert(row)
+            nullity += sum(ech.insert({lab: 1}) is not None for lab in units)
+        rows = reference_center_tensor(p, alpha, w)[2]
+        assert nullity == system.n_unknowns - _rank(rows), (p, alpha, w)
+
+
+def reference_solve_h1(p, target, alpha, w):
+    """solve_h1 on the full reference system, as it ran before the twist
+    split: every row inserted in elimination order (at a nonzero degree
+    the pairs with L[0] first), interior unit rows on every label."""
+    labels, index, rows, prov, gens, _, center = reference_center_tensor(p, alpha, w)
+    if alpha:
+        l0 = L(0)
+        first = [l0 in (g, h) for g, h, _ in prov]
+        rows = [r for r, f in zip(rows, first) if f] + [
+            r for r, f in zip(rows, first) if not f
+        ]
+    ech = RowEchelon()
+    for row in rows:
+        ech.insert(row)
+    inner = w.interior()
+    interior = frozenset(
+        i for i, (g, t) in enumerate(labels) if inner.contains(g) and inner.contains(t)
+    )
+    aug = ech.copy()
+    dim_der = sum(aug.insert({lab: 1}) is not None for lab in sorted(interior))
+
+    def restricted(vec):
+        return int_row({k: v for k, v in vec.items() if k in interior})
+
+    ech_inn = RowEchelon()
+    for vec in reference_inner_vectors(p, CENTER_TENSOR, alpha, w, index, gens, center):
+        ech_inn.insert(restricted(vec))
+    dim_inn = ech_inn.rank
+    dim_h1 = dim_der - dim_inn
+    names, tables = [], []
+    for table in catalog_basis(p, TENSOR, w) if alpha == 0 else []:
+        vec = {}
+        for g, val in table.values.items():
+            for key, coeff in val.terms.items():
+                lab = index.get((g, key))
+                if lab is not None:
+                    vec[lab] = vec.get(lab, Fraction(0)) + coeff
+        if ech_inn.insert(restricted(vec)) is not None:
+            names.append(table.name)
+            tables.append(table)
+    return CohomologyReport(
+        params=p,
+        target=target,
+        alpha=Fraction(alpha),
+        window=w,
+        dim_der=dim_der,
+        dim_inn=dim_inn,
+        n_unknowns=len(labels),
+        n_rows=len(rows),
+        quotient_names=names,
+        certified=dim_h1 == len(names),
+        method="center-reduced" if target == TENSOR else "full-window",
+        quotient_tables=tables,
+        note="" if dim_h1 == len(names) else (
+            f"the named constructors span {len(names)} of {dim_h1} classes"
+        ),
+    )
+
+
+@pytest.mark.parametrize("s,lam", ROWS, ids=[f"{s}:{lam}" for s, lam in ROWS])
+def test_twist_split_solve_matches_full_system(s, lam):
+    """solve_h1 ranks the symmetric and antisymmetric parts of the
+    center-tensor system separately; its reports equal a full-system
+    solve over the reference rows on both tensor targets."""
+    for p, alpha, w in twist_cases(s, lam):
+        for target in (TENSOR, CENTER_TENSOR):
+            want = reference_solve_h1(p, target, alpha, w).as_dict()
+            assert solve_h1(p, target, alpha, w).as_dict() == want, (p, alpha, w, target)
+
+
+def full_rows(system):
+    """Every row of the system: assemble's rows, then on the center-tensor
+    target the twist of each row at a key (z, x) with x outside the center."""
+    center = system.center_set
+    if center is None:
+        return system.rows
+    return system.rows + [
+        twist_row(system.labels, system.index, row)
+        for row, (_, _, t) in zip(system.rows, system.provenance)
+        if t[1] not in center
+    ]
 
 
 def _rank(rows):
@@ -315,10 +489,10 @@ def test_generating_set_rows_span_every_pair(s, lam, monkeypatch):
                     zip(full.provenance, full.rows),
                 ), case
                 assert kept.labels == full.labels, case
-                assert _rank(kept.rows) == _rank(full.rows), case
+                assert _rank(full_rows(kept)) == _rank(full_rows(full)), case
                 got = solve_h1(p, solve_target, alpha, w, system=kept).as_dict()
                 want = solve_h1(p, solve_target, alpha, w, system=full).as_dict()
-                assert got.pop("rows") == len(kept.rows), case
+                assert got.pop("rows") == len(full_rows(kept)), case
                 want.pop("rows")
                 assert got == want, case
 
@@ -372,7 +546,7 @@ def test_window_guard_keeps_rank(s, monkeypatch):
                     with monkeypatch.context() as m:
                         m.setattr(cohomology, "generating_set", every_generator)
                         full = assemble(p, target, alpha, w)
-                    assert _rank(kept.rows) == _rank(full.rows), case
+                    assert _rank(full_rows(kept)) == _rank(full_rows(full)), case
 
 
 def test_l0_stays_in_generating_set():
