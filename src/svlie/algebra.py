@@ -42,6 +42,7 @@ __all__ = [
     "center_in_window",
     "check_jacobi",
     "degree_of",
+    "diag_action",
     "generating_set",
     "rat",
 ]
@@ -406,14 +407,21 @@ def bracket_table(p: AlgebraParams) -> BracketTable:
     return BracketTable(p)
 
 
-def bracket(x: Element, y: Element, p: AlgebraParams) -> Element:
-    """Bilinear extension of the generator bracket table."""
+def diag_action(x: Element, t: SparseVector, p: AlgebraParams) -> SparseVector:
+    """Leibniz action on every slot of t, an Element, Tensor2 or Tensor3:
+    x . (a (x) b) = [x,a] (x) b + a (x) [x,b]."""
     table = bracket_table(p)
-    out: dict[BasisIndex, Fraction] = {}
+    out: dict = {}
     for g, cg in x.terms.items():
-        for e, k in table.act(g, y.terms).items():
-            out[e] = out.get(e, 0) + cg * k
-    return Element({e: c / p.scale for e, c in out.items()})
+        for key, c in table.act(g, t.terms).items():
+            out[key] = out.get(key, 0) + cg * c
+    return type(t)({key: c / p.scale for key, c in out.items()})
+
+
+def bracket(x: Element, y: Element, p: AlgebraParams) -> Element:
+    """Bilinear extension of the generator bracket table: the diagonal
+    action on the one slot of y."""
+    return diag_action(x, y, p)
 
 
 def degree_of(x: Element) -> Union[Fraction, str]:

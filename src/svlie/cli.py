@@ -41,7 +41,8 @@ EXIT_USAGE = 2
 
 MAX_WINDOW = 64
 # Below 4 the window holds at most L[-1..1], an sl2 whose invariant tensors
-# are not center products: the interior checks would fail falsely.
+# are not center products: the interior checks would fail falsely, and h1
+# reports dimensions that are not the window-stable ones.
 MIN_INTERIOR_WINDOW = 4
 
 
@@ -75,7 +76,7 @@ def _validate(args: argparse.Namespace) -> None:
     if not (0 < bound <= MAX_WINDOW):
         raise UsageError(f"window bound must be in 1..{MAX_WINDOW}, got {bound}")
     if (
-        args.command in ("invariants", "skew-lemma", "verify-paper")
+        args.command in ("h1", "invariants", "skew-lemma", "verify-paper")
         and bound < MIN_INTERIOR_WINDOW
     ):
         raise UsageError(

@@ -199,6 +199,7 @@ def assemble(
     index = {lab: i for i, lab in enumerate(labels)}
 
     lo, hi = w.lo, w.hi
+    whole = ((lo, hi), (lo, hi))
     on_algebra = base == ALGEBRA
     # per generator and leg kind, the degree interval a tensor leg must lie
     # in when the feeder rule applies to it with that generator acting
@@ -276,22 +277,24 @@ def assemble(
                             cell[lab] = cell.get(lab, 0) + sign * k
         if not on_algebra:
             rg, rh = reach[g], reach[h]
-            bounds = {
-                kind: (max(rg[kind][0], rh[kind][0]), min(rg[kind][1], rh[kind][1]))
-                for kind in "LMYc"
-            }
         for t, expr in sorted(block.items()):
             if not on_algebra:
+                # a leg beside a central one lies in both generators'
+                # intervals of its kind, any other leg in the window
                 t1, t2 = t
-                a1, b1 = (
-                    bounds[t1.kind]
-                    if center_set is None or t2 in center_set else (lo, hi)
+                (a1, b1), (c1, d1) = (
+                    (rg[t1.kind], rh[t1.kind])
+                    if center_set is None or t2 in center_set else whole
                 )
-                a2, b2 = (
-                    bounds[t2.kind]
-                    if center_set is None or t1 in center_set else (lo, hi)
+                (a2, b2), (c2, d2) = (
+                    (rg[t2.kind], rh[t2.kind])
+                    if center_set is None or t1 in center_set else whole
                 )
-                if not (a1 <= t1.dd <= b1 and a2 <= t2.dd <= b2):
+                x1, x2 = t1.dd, t2.dd
+                if not (
+                    a1 <= x1 <= b1 and c1 <= x1 <= d1
+                    and a2 <= x2 <= b2 and c2 <= x2 <= d2
+                ):
                     continue
             if 0 in expr.values():
                 expr = {lab: c for lab, c in expr.items() if c}

@@ -1,24 +1,24 @@
 """Sparse exact linear algebra over the rationals.
 
 Rows are dicts mapping integer column labels to integer coefficients
-(fraction rows are cleared of denominators first).  Elimination is
-fraction-free: a row combination multiplies through by the pivot leading
-coefficient and the result is gcd-normalized, so no floating error and no
-rational blowup.  The pivot of a stored row is its lowest column label;
-rows are inserted in the caller's deterministic order, which makes ranks,
-kernels and certificates reproducible.
+(fraction rows are cleared of denominators first).  The echelon form is
+kept fully reduced, in integers: a stored row holds its pivot, its lowest
+column, and only columns that are no pivot, and is gcd-primitive with a
+positive pivot coefficient.  An incoming row is reduced in one pass over
+its own pivot columns, and a new pivot is cleared from the stored rows
+that hold its column, so coefficients stay small and no floating error or
+rational blowup arises.  The pivot set depends only on the row space and
+the column order, and rows are inserted in the caller's deterministic
+order, which makes ranks, kernels and certificates reproducible.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
 __all__ = ["RowEchelon", "int_row"]
-
-_NORMALIZE_EVERY = 8
 
 
 def int_row(row: dict) -> dict[int, int]:
@@ -35,29 +35,18 @@ def int_row(row: dict) -> dict[int, int]:
     return out
 
 
-def _normalize(row: dict[int, int], lead: int) -> list[tuple[int, int]]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if row[lead] < 0:
-        g = -g
-    items = sorted(row.items())
-    if g not in (0, 1):
-        items = [(k, v // g) for k, v in items]
-    return items
-
-
 class RowEchelon:
-    """Incremental row echelon form with deterministic reduction.
+    """Incremental reduced row echelon form with deterministic reduction.
 
-    Stored pivot rows are immutable sorted (column, coeff) lists keyed by
-    their pivot column; copies therefore share row storage.
+    Stored rows are keyed by their pivot column; _holders maps each column
+    that is no pivot to the pivots of the stored rows holding it.  Stored
+    rows are replaced, never mutated, so copies share them and copy only
+    the index.
     """
 
     def __init__(self) -> None:
-        self._pivots: dict[int, list[tuple[int, int]]] = {}
+        self._pivots: dict[int, dict[int, int]] = {}
+        self._holders: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -66,84 +55,81 @@ class RowEchelon:
     def copy(self) -> "RowEchelon":
         dup = RowEchelon()
         dup._pivots = dict(self._pivots)
+        dup._holders = {c: set(qs) for c, qs in self._holders.items()}
         return dup
 
     def insert(self, row: dict[int, int]) -> Optional[int]:
-        """Reduce a row against the stored pivots and keep the remainder.
+        """Reduce a row against the stored rows and keep the remainder.
 
         Returns the new pivot column, or None when the row is dependent.
-        The input dict is left unchanged: insert works on a copy.
+        The input dict is left unchanged.
         """
-        row = dict(row)
-        heap = list(row)
-        heapq.heapify(heap)
-        steps = 0
-        while heap:
-            col = heapq.heappop(heap)
-            val = row.get(col, 0)
-            if not val:
-                row.pop(col, None)
+        pivots = self._pivots
+        acc = dict(row)
+        # one pass over the row's pivot columns: stored rows hold no other
+        # pivot, so subtracting one fills no pivot column of acc
+        for c in row:
+            prow = pivots.get(c)
+            if prow is None:
                 continue
-            pivot = self._pivots.get(col)
-            if pivot is None:
-                self._pivots[col] = _normalize(row, col)
-                return col
-            # row := lead(pivot) * row - val * pivot; fill columns are all
-            # greater than col because pivot rows are sorted.
-            lead = pivot[0][1]
+            v = acc[c]
+            lead = prow[c]
             if lead != 1:
-                for k in row:
-                    row[k] *= lead
-            del row[col]
-            for k, pv in pivot[1:]:
-                cur = row.get(k)
-                if cur is None:
-                    nv = -val * pv
-                    if nv:
-                        row[k] = nv
-                        heapq.heappush(heap, k)
-                else:
-                    nv = cur - val * pv
-                    if nv:
-                        row[k] = nv
-                    else:
-                        del row[k]
-            steps += 1
-            if steps % _NORMALIZE_EVERY == 0 and row:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for k in row:
-                        row[k] //= g
-        return None
+                g = gcd(lead, v)
+                if g != lead:
+                    a = lead // g
+                    for k in acc:
+                        acc[k] *= a
+                    v *= a
+                v //= lead
+            for k, pv in prow.items():
+                acc[k] = acc.get(k, 0) - v * pv
+        if not any(acc.values()):
+            return None
+        acc = {k: v for k, v in acc.items() if v}
+        piv = min(acc)
+        g = gcd(*acc.values())
+        if acc[piv] < 0:
+            g = -g
+        if g != 1:
+            acc = {k: v // g for k, v in acc.items()}
+        holders = self._holders
+        lead = acc[piv]
+        for q in holders.pop(piv, ()):
+            # clear piv from the stored row q: a * old - b * acc
+            old = pivots[q]
+            g = gcd(lead, old[piv])
+            a, b = lead // g, old[piv] // g
+            new = {k: a * v for k, v in old.items()} if a != 1 else dict(old)
+            for k, v in acc.items():
+                nv = new.get(k, 0) - b * v
+                if nv:
+                    if k not in new:
+                        holders.setdefault(k, set()).add(q)
+                    new[k] = nv
+                elif k in new:
+                    del new[k]
+                    if k != piv:
+                        holders[k].discard(q)
+            g = gcd(*new.values())
+            pivots[q] = {k: v // g for k, v in new.items()} if g != 1 else new
+        for k in acc:
+            if k != piv:
+                holders.setdefault(k, set()).add(piv)
+        pivots[piv] = acc
+        return piv
 
     def kernel_basis(self, n_cols: int) -> list[dict[int, Fraction]]:
         """One exact kernel vector per free column, unit at that column.
 
-        The pivot rows are reduced once, in integers and from the last
-        pivot up, until each keeps only its pivot and free columns; the
-        vector of free column f then reads -coeff(f) / lead off every
-        reduced row that has f, in descending pivot order.
+        The vector of free column f reads -coeff(f) / lead off every
+        stored row that has f, in descending pivot order.
         """
         basis = {c: {c: Fraction(1)} for c in range(n_cols) if c not in self._pivots}
-        reduced: dict[int, dict[int, int]] = {}
         for piv in sorted(self._pivots, reverse=True):
-            row = dict(self._pivots[piv])
-            # row := a * row - b * reduced[q] clears q and adds free columns only
-            for q in [q for q in row if q in reduced]:
-                red = reduced[q]
-                g = gcd(red[q], row[q])
-                a, b = red[q] // g, row[q] // g
-                if a != 1:
-                    row = {k: a * v for k, v in row.items()}
-                for k, v in red.items():
-                    row[k] = row.get(k, 0) - b * v
-            g = gcd(*row.values()) * (1 if row[piv] > 0 else -1)
-            row = reduced[piv] = {k: v // g for k, v in row.items() if v}
+            row = self._pivots[piv]
+            lead = row[piv]
             for c, k in row.items():
                 if c != piv:
-                    basis[c][piv] = Fraction(-k, row[piv])
+                    basis[c][piv] = Fraction(-k, lead)
         return list(basis.values())

@@ -19,6 +19,7 @@ from .algebra import (
     SparseVector,
     Window,
     bracket_table,
+    diag_action,
     format_terms,
     generating_set,
 )
@@ -80,17 +81,6 @@ def cyclic(t: Tensor3) -> Tensor3:
 def skew_part_membership(t: Tensor2) -> bool:
     """True iff t lies in the image of (1 - twist), i.e. twist(t) == -t."""
     return twist(t) == -t
-
-
-def diag_action(x: Element, t: SparseVector, p: AlgebraParams) -> SparseVector:
-    """Leibniz action on every slot of t, a Tensor2 or a Tensor3:
-    x . (a (x) b) = [x,a] (x) b + a (x) [x,b]."""
-    table = bracket_table(p)
-    out: dict = {}
-    for g, cg in x.terms.items():
-        for key, c in table.act(g, t.terms).items():
-            out[key] = out.get(key, 0) + cg * c
-    return type(t)({key: c / p.scale for key, c in out.items()})
 
 
 def coboundary(r: Tensor2, x: Element, p: AlgebraParams) -> Tensor2:

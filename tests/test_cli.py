@@ -195,6 +195,20 @@ class TestCheckCommands:
             "needs at least L[-2..2], got 3\n"
         )
 
+    def test_h1_window_floor(self, capsys):
+        # at window 2 the degree-0 tensor square of (0, -2) reads 3 classes;
+        # windows 12-20 give the stable 4
+        for bound in ("1", "2", "3"):
+            code, out, err = run_cli(
+                capsys, "h1", "--s", "0", "--lambda", "-2",
+                "--target", "tensor-square", "--window", bound,
+            )
+            assert code == 2 and out == ""
+            assert err == (
+                "error: h1 needs --window at least 4: the interior check "
+                f"needs at least L[-2..2], got {bound}\n"
+            )
+
     def test_coboundary(self, capsys, tmp_path):
         path = tmp_path / "witt.r"
         path.write_text(WITT_R)
