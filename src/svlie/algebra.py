@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 __all__ = [
@@ -672,11 +672,9 @@ def action_kernel(
                     cell = rows.setdefault((g, res), {})
                     cell[col] = cell.get(col, 0) + k
     ech = linalg.RowEchelon()
-    for rkey in sorted(rows):
-        # the row times p.scale; this is int_row(row / p.scale)
-        row = {col: k for col, k in rows[rkey].items() if k}
-        den = gcd(p.scale, *row.values())
-        ech.insert({col: k // den for col, k in row.items()})
+    # rows times p.scale, in build order: the echelon stores the same rows
+    for row in rows.values():
+        ech.insert(row)
     labels = [k[0] for k in keys] if arity == 1 else keys
     return [
         {labels[i]: c for i, c in vec.items()}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import (
@@ -74,8 +73,9 @@ class LinearSystem:
     """The assembled derivation-identity constraints for one case.
 
     labels are (generator, target key) pairs in the deterministic pivot
-    order; rows are integer coefficient dicts over label ids, each with a
-    provenance tag naming the generator pair and result key it encodes.
+    order; rows are integer coefficient dicts over label ids, each an
+    equation times p.scale as the bracket table sums it, with a provenance
+    tag naming the generator pair and result key it encodes.
     """
 
     params: AlgebraParams
@@ -300,9 +300,7 @@ def assemble(
                 expr = {lab: c for lab, c in expr.items() if c}
                 if not expr:
                     continue
-            # expr is the row times p.scale; this is int_row(expr / p.scale)
-            den = gcd(p.scale, *expr.values())
-            rows.append({lab: c // den for lab, c in expr.items()})
+            rows.append(expr)
             provenance.append((g, h, t))
 
     return LinearSystem(
@@ -310,9 +308,10 @@ def assemble(
     )
 
 
-def inner_vectors(system: LinearSystem) -> list[dict[int, Fraction]]:
+def inner_vectors(system: LinearSystem) -> list[dict[int, int]]:
     """Truncated coordinate vectors of g -> g . v for every window-supported
-    homogeneous v in the target degree of the system."""
+    homogeneous v in the target degree of the system, as integer rows
+    times p.scale."""
     p = system.params
     shift = int(system.alpha * 2)
     base = TENSOR if system.target == CENTER_TENSOR else system.target
@@ -326,7 +325,7 @@ def inner_vectors(system: LinearSystem) -> list[dict[int, Fraction]]:
                 lab = system.index.get((g, key))
                 if lab is not None:
                     vec[lab] = vec.get(lab, 0) + k
-        vec = {k: Fraction(c, p.scale) for k, c in vec.items() if c}
+        vec = {k: c for k, c in vec.items() if c}
         if vec:
             out.append(vec)
     return out
@@ -400,28 +399,9 @@ class CohomologyReport:
         }
 
 
-def _restricted(vec: dict[int, Fraction], keep: frozenset) -> dict[int, int]:
-    return int_row({k: v for k, v in vec.items() if k in keep})
-
-
-def _elimination_order(system: LinearSystem, pairs=None) -> list[dict[int, int]]:
-    """The rows in the order solve_h1 inserts them: at a nonzero degree
-    the rows of the pairs that contain L[0] first, otherwise as assembled.
-    pairs, when given, are the (row, provenance) pairs to order instead of
-    all of the system's."""
-    if not system.alpha:
-        return system.rows if pairs is None else [row for row, _ in pairs]
-    if pairs is None:
-        pairs = list(zip(system.rows, system.provenance))
-    l0 = L(0)
-    return [row for row, (g, h, _) in pairs if l0 in (g, h)] + [
-        row for row, (g, h, _) in pairs if l0 not in (g, h)
-    ]
-
-
 def _twist_parts(system: LinearSystem, interior: frozenset) -> tuple[list, list]:
-    """The rows at keys (z, x), x outside the center, in elimination
-    order; and for the twist-symmetric and antisymmetric parts the rows at
+    """The rows at keys (z, x), x outside the center, in assembly order;
+    and for the twist-symmetric and antisymmetric parts the rows at
     keys (z, z') folded into the part, with the part's interior labels.
 
     A label (x, z) folds onto its twin (z, x) and a pair (z, z'), (z', z)
@@ -441,12 +421,9 @@ def _twist_parts(system: LinearSystem, interior: frozenset) -> tuple[list, list]
             return t, -1
         return lab, int(lab != t)
 
-    a_pairs, f_rows = [], []
-    for pair in zip(system.rows, system.provenance):
-        if pair[1][2][1] in center:
-            f_rows.append(pair[0])
-        else:
-            a_pairs.append(pair)
+    a_rows, f_rows = [], []
+    for row, (_, _, t) in zip(system.rows, system.provenance):
+        (f_rows if t[1] in center else a_rows).append(row)
     folds = {}
     for row in f_rows:
         for lab in row:
@@ -468,7 +445,7 @@ def _twist_parts(system: LinearSystem, interior: frozenset) -> tuple[list, list]
                 out[rep] = out.get(rep, 0) + (sign * c if anti else c)
             rows.append({lab: c for lab, c in out.items() if c})
         parts.append((rows, [lab for lab, sign in own if sign or not anti]))
-    return _elimination_order(system, a_pairs), parts
+    return a_rows, parts
 
 
 def solve_h1(
@@ -496,13 +473,8 @@ def solve_h1(
     faithful; the unreduced system remains available through assemble().
     It is ranked as its twist-symmetric plus antisymmetric part
     (_twist_parts); rows counts the full system, twin rows included.
-
-    At a nonzero degree alpha the rows of the pairs that contain L[0] are
-    eliminated first: they read alpha D(h) = [h, D(L[0])], so every D(h)
-    pivots onto the few D(L[0]) unknowns.  At degree 0 the D(h) term
-    cancels from those rows and elimination takes as long in either
-    order, so the assembly order is kept and the reorder's cost saved
-    (BENCH_13.json, "order_checks").
+    Every row is inserted as assembled, in assembly order: the echelon's
+    stored rows do not depend on either.
     """
     solve_target = CENTER_TENSOR if target == TENSOR else target
     method = "center-reduced" if target == TENSOR else "full-window"
@@ -513,7 +485,7 @@ def solve_h1(
     sys_ = system if system is not None else assemble(p, solve_target, alpha, w)
     interior = frozenset(sys_.interior_ids())
     if sys_.center_set is None:
-        head, parts = [], [(_elimination_order(sys_), sorted(interior))]
+        head, parts = [], [(sys_.rows, sorted(interior))]
     else:
         head, parts = _twist_parts(sys_, interior)
     ech = RowEchelon()
@@ -528,10 +500,9 @@ def solve_h1(
             if ech_part.insert({lab: 1}) is not None:
                 dim_der += 1
 
-    inn = inner_vectors(sys_)
     ech_inn = RowEchelon()
-    for vec in inn:
-        ech_inn.insert(_restricted(vec, interior))
+    for vec in inner_vectors(sys_):
+        ech_inn.insert({k: c for k, c in vec.items() if k in interior})
     dim_inn = ech_inn.rank
     dim_h1 = dim_der - dim_inn
 
@@ -546,7 +517,8 @@ def solve_h1(
     ech_q = ech_inn.copy()
     for table in candidates:
         vec = table_to_vector(sys_, table)
-        if ech_q.insert(_restricted(vec, interior)) is not None:
+        row = int_row({k: c for k, c in vec.items() if k in interior})
+        if ech_q.insert(row) is not None:
             names.append(table.name or f"candidate-{len(names) + 1}")
             tables.append(table)
     certified = dim_h1 == len(names)

@@ -7,9 +7,10 @@ column, and only columns that are no pivot, and is gcd-primitive with a
 positive pivot coefficient.  An incoming row is reduced in one pass over
 its own pivot columns, and a new pivot is cleared from the stored rows
 that hold its column, so coefficients stay small and no floating error or
-rational blowup arises.  The pivot set depends only on the row space and
-the column order, and rows are inserted in the caller's deterministic
-order, which makes ranks, kernels and certificates reproducible.
+rational blowup arises.  Given the row space and the column order this
+form is unique: any integer scaling of the input rows and any insertion
+order give the same stored rows, so callers insert rows as they build
+them and ranks, kernels and certificates are reproducible.
 """
 
 from __future__ import annotations
@@ -123,8 +124,12 @@ class RowEchelon:
         """One exact kernel vector per free column, unit at that column.
 
         The vector of free column f reads -coeff(f) / lead off every
-        stored row that has f, in descending pivot order.
+        stored row that has f, in descending pivot order.  Every stored
+        column must lie below n_cols.
         """
+        last = max((max(row) for row in self._pivots.values()), default=-1)
+        if last >= n_cols:
+            raise ValueError(f"a stored row holds column {last}, not below n_cols = {n_cols}")
         basis = {c: {c: Fraction(1)} for c in range(n_cols) if c not in self._pivots}
         for piv in sorted(self._pivots, reverse=True):
             row = self._pivots[piv]

@@ -7,7 +7,8 @@ a scan over degree pairs, tensor rows filtered by the feeder-kind and
 parity rule rather than by a degree interval, and the window center
 computed again for the inner vectors.  The systems built on either path
 must agree exactly: labels, rows, provenance, index, slice keys and the
-inner vectors.
+inner vectors, once the integer rows and inner vectors, which `assemble`
+and `inner_vectors` give times `p.scale`, are divided by it.
 
 On the center-tensor target `assemble` emits the rows at the keys with a
 central first leg; they are compared with the reference rows at those
@@ -263,11 +264,18 @@ def assert_matches_reference(s, lam, targets, degrees, windows):
                         prov = [prov[i] for i in emitted]
                     assert system.labels == labels, case
                     assert system.index == index, case
-                    assert system.rows == rows, case
+                    # assemble emits each row times p.scale: int_row(R / D)
+                    assert [
+                        int_row({k: Fraction(c, p.scale) for k, c in row.items()})
+                        for row in system.rows
+                    ] == rows, case
                     assert system.provenance == prov, case
                     assert system.generators == gens, case
                     assert system.center_set == center, case
-                    assert inner_vectors(system) == reference_inner_vectors(
+                    assert [
+                        {k: Fraction(c, p.scale) for k, c in vec.items()}
+                        for vec in inner_vectors(system)
+                    ] == reference_inner_vectors(
                         p, target, alpha, w, index, gens, center
                     ), case
 

@@ -424,7 +424,49 @@ class TestReducedEchelon:
         for row in system.rows:
             ech.insert(row)
         assert_reduced(ech)
-        inputs = max(abs(c).bit_length() for row in system.rows for c in row.values())
+        # assemble gives each row times p.scale: measure its primitive part
+        inputs = max(
+            (max(map(abs, row.values())) // gcd(*row.values())).bit_length()
+            for row in system.rows
+        )
         stored = max(abs(c).bit_length() for row in ech._pivots.values() for c in row.values())
         # 336 and 335 bits; the heap echelon stored up to 665 bits here
         assert stored <= inputs + 16
+
+    @pytest.mark.parametrize("s", [Fraction(0), Fraction(1, 2)], ids=["s=0", "s=1/2"])
+    def test_any_scale_and_order_store_the_same_rows(self, s):
+        # what lets callers insert raw rows in assembly order; at s = 0 the
+        # half-integer degrees are empty, so the integer ones are added
+        rng = random.Random(21)
+        w = Window.symmetric(8)
+        for lam in (Fraction(0), Fraction(7, 10)):
+            p = AlgebraParams(s, lam, True)
+            for target in ("algebra", "center-tensor"):
+                for alpha in (0, Fraction(1, 2), Fraction(-1, 2), 1, -1):
+                    system = assemble(p, target, alpha, w)
+                    plain = RowEchelon()
+                    for row in system.rows:
+                        plain.insert(row)
+                    rows = list(system.rows)
+                    rng.shuffle(rows)
+                    scaled = RowEchelon()
+                    for row in rows:
+                        k = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+                        scaled.insert({col: k * c for col, c in row.items()})
+                    case = (p, target, alpha)
+                    assert scaled._pivots == plain._pivots, case
+                    assert scaled.rank == plain.rank, case
+                    n = system.n_unknowns
+                    assert repr(scaled.kernel_basis(n)) == repr(plain.kernel_basis(n)), case
+
+    def test_kernel_basis_rejects_columns_past_n_cols(self):
+        ech = RowEchelon()
+        ech.insert({0: 1, 5: 1})
+        with pytest.raises(ValueError, match="column 5.*n_cols = 3"):
+            ech.kernel_basis(3)
+        # a pivot past n_cols is rejected as well
+        ech = RowEchelon()
+        ech.insert({4: 2})
+        with pytest.raises(ValueError, match="column 4"):
+            ech.kernel_basis(4)
+        assert ech.kernel_basis(5) == [{c: 1} for c in range(4)]
