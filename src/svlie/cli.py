@@ -62,8 +62,8 @@ def _parse_rational(text: str) -> Fraction:
 
 def _validate(args: argparse.Namespace) -> None:
     """Parse and range-check the namespace in place: --s, --lambda and
-    --central become args.params, the window bound a Window and --degree
-    a Fraction."""
+    --central become args.params, the window bound (on the commands that
+    take one) a Window and --degree a Fraction."""
     if hasattr(args, "s"):
         s = _parse_rational(args.s)
         lam = _parse_rational(args.lam)
@@ -72,18 +72,19 @@ def _validate(args: argparse.Namespace) -> None:
             args.params = AlgebraParams(s, lam, central)
         except ValueError as exc:
             raise UsageError(str(exc))
-    bound = args.window
-    if not (0 < bound <= MAX_WINDOW):
-        raise UsageError(f"window bound must be in 1..{MAX_WINDOW}, got {bound}")
-    if (
-        args.command in ("h1", "invariants", "skew-lemma", "verify-paper")
-        and bound < MIN_INTERIOR_WINDOW
-    ):
-        raise UsageError(
-            f"{args.command} needs --window at least {MIN_INTERIOR_WINDOW}: the "
-            f"interior check needs at least L[-2..2], got {bound}"
-        )
-    args.window = Window.symmetric(bound)
+    bound = getattr(args, "window", None)
+    if bound is not None:
+        if not (0 < bound <= MAX_WINDOW):
+            raise UsageError(f"window bound must be in 1..{MAX_WINDOW}, got {bound}")
+        if (
+            args.command in ("h1", "invariants", "skew-lemma", "verify-paper")
+            and bound < MIN_INTERIOR_WINDOW
+        ):
+            raise UsageError(
+                f"{args.command} needs --window at least {MIN_INTERIOR_WINDOW}: the "
+                f"interior check needs at least L[-2..2], got {bound}"
+            )
+        args.window = Window.symmetric(bound)
     if hasattr(args, "degree"):
         args.degree = _parse_rational(args.degree or "0")
         if (args.degree * 2).denominator != 1:
@@ -240,6 +241,11 @@ def _cmd_check_derivation(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise UsageError(f"malformed derivation table {args.derivation!r}: {reason}") from None
+    lo, hi = table.window.lo, table.window.hi
+    if not (-MAX_WINDOW <= lo and hi <= MAX_WINDOW):
+        raise UsageError(
+            f"derivation table window [{lo}, {hi}] must lie in [-{MAX_WINDOW}, {MAX_WINDOW}]"
+        )
     rep = is_derivation(table, args.params)
     human = (
         f"derivation check: {'pass' if rep.ok else 'FAIL'} "
@@ -304,25 +310,15 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
         window=args.window.hi, log=lines.append if args.json else print
     )
     ok = all(r.ok for r in results)
-    if args.json:
-        payload = {
-            "schema": 1,
-            "command": "verify-paper",
-            "window": args.window.hi,
-            "criteria": [
-                {
-                    "number": r.number,
-                    "name": r.name,
-                    "ok": r.ok,
-                    "details": r.details,
-                }
-                for r in results
-            ],
-            "ok": ok,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("all criteria passed" if ok else "some criteria FAILED")
+    criteria = [
+        {"number": r.number, "name": r.name, "ok": r.ok, "details": r.details}
+        for r in results
+    ]
+    _emit(
+        args,
+        {"window": args.window.hi, "criteria": criteria, "ok": ok},
+        "all criteria passed" if ok else "some criteria FAILED",
+    )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -352,18 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def algebra_flags(sp, window_default=12):
+    def algebra_flags(sp, window=True):
         sp.add_argument("--s", required=True, choices=["0", "1/2"], help="sector")
         sp.add_argument("--lambda", dest="lam", required=True, metavar="RAT",
                         help="deformation parameter, a rational like -5/3")
         sp.add_argument("--central", choices=["true", "false"], default="true",
                         help="keep the central charge c (default true)")
-        sp.add_argument("--window", type=int, default=window_default, metavar="N",
-                        help=f"doubled-degree bound, at most {MAX_WINDOW}")
+        if window:
+            sp.add_argument("--window", type=int, default=12, metavar="N",
+                            help=f"doubled-degree bound, at most {MAX_WINDOW}")
         sp.add_argument("--json", action="store_true", help="machine-readable report")
 
     sp = sub.add_parser("bracket", help="bracket of two element literals")
-    algebra_flags(sp)
+    algebra_flags(sp, window=False)
     sp.add_argument("operands", nargs=2, metavar="ELEMENT")
 
     sp = sub.add_parser("jacobi", help="exact Jacobi check on a window")
@@ -373,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     algebra_flags(sp)
 
     sp = sub.add_parser("cybe", help="classical Yang-Baxter check for an r-matrix")
-    algebra_flags(sp)
+    algebra_flags(sp, window=False)
     sp.add_argument("--r", required=True, metavar="FILE")
 
     sp = sub.add_parser("mybe", help="modified Yang-Baxter check on a window")
@@ -381,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", required=True, metavar="FILE")
 
     sp = sub.add_parser("coboundary", help="cobracket candidate at an element")
-    algebra_flags(sp)
+    algebra_flags(sp, window=False)
     sp.add_argument("--r", required=True, metavar="FILE")
     sp.add_argument("operands", nargs=1, metavar="ELEMENT")
 
@@ -390,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", required=True, metavar="FILE")
 
     sp = sub.add_parser("check-derivation", help="verify a serialized derivation table")
-    algebra_flags(sp)
+    algebra_flags(sp, window=False)
     sp.add_argument("--derivation", required=True, metavar="FILE")
 
     sp = sub.add_parser("h1", help="windowed first-cohomology dimensions")

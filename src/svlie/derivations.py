@@ -394,6 +394,8 @@ def table_from_json(text: str) -> DerivationTable:
     target = payload["target"]
     degree = None if payload.get("degree") is None else rat(payload["degree"])
     lo, hi = payload["window"]
+    if type(lo) is not int or type(hi) is not int:
+        raise ValueError(f"window bounds must be integers: {payload['window']}")
     window = Window(lo, hi)
     values = {}
     for pos, entry in enumerate(payload["values"]):

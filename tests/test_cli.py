@@ -166,6 +166,22 @@ class TestCheckCommands:
         assert code == 2
         assert err.startswith(f"error: cannot decode '{path}': ")
 
+    @pytest.mark.parametrize("command,extra", [
+        ("bracket", ["L[1]", "L[2]"]),
+        ("cybe", ["--r", "witt.r"]),
+        ("coboundary", ["--r", "witt.r", "L[1]"]),
+        ("check-derivation", ["--derivation", "table.json"]),
+    ])
+    def test_window_flag_is_refused_where_unused(self, capsys, command, extra):
+        # these commands read no window, so they take no --window
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--s", "0", "--lambda", "0", *extra, "--window", "4"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            "error: unrecognized arguments: --window 4"
+        )
+
     def test_window_guard(self, capsys):
         code, _, err = run_cli(
             capsys, "jacobi", "--s", "0", "--lambda", "1", "--window", "200"
@@ -266,6 +282,12 @@ class TestDerivationCommand:
                 "coefficient 1",
             )
             for gen in ("L[1] + L[2]", "0", "2*L[1]")
+        ]
+        + [
+            (
+                '{"target": "algebra", "window": [-4.5, 4], "values": []}',
+                "window bounds must be integers: [-4.5, 4]",
+            ),
         ],
     )
     def test_malformed_table(self, capsys, tmp_path, content, reason):
@@ -277,7 +299,24 @@ class TestDerivationCommand:
         )
         assert code == 2 and out == ""
         assert err.startswith(f"error: malformed derivation table '{path}': ")
-        assert reason in err
+        assert reason in err and err.count("\n") == 1
+
+    def test_table_window_beyond_the_cap(self, tmp_path):
+        # a window this wide would run for minutes: it is refused before
+        # any pair is checked
+        path = tmp_path / "table.json"
+        path.write_text('{"target": "algebra", "window": [-4, 4000000], "values": []}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "svlie.cli", "check-derivation", "--s", "0",
+             "--lambda", "-2", "--derivation", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: derivation table window [-4, 4000000] must lie in [-64, 64]\n"
+        )
 
     def test_table_literal_error_keeps_its_diagnostic(self, capsys, tmp_path):
         path = tmp_path / "table.json"

@@ -378,6 +378,33 @@ class TestStructuralChecks:
         rep = verify_skew_image_lemma(AlgebraParams(HALF, -2), Window.symmetric(8))
         assert rep.ok
 
+    @staticmethod
+    def _with_stray_invariant(monkeypatch):
+        # the real pair kernels plus the non-central degree-0 tensor
+        # L[1] (x) L[-1], which no check may accept
+        from svlie import cohomology
+
+        real = cohomology.action_kernel
+        stray = {(L(1), L(-1)): Fraction(1)}
+
+        def kernel(p, w, arity, symmetric=False):
+            return real(p, w, arity, symmetric) + ([stray] if arity == 2 else [])
+
+        monkeypatch.setattr(cohomology, "action_kernel", kernel)
+        return Tensor2(stray)
+
+    def test_invariants_reject_a_non_central_tensor(self, monkeypatch):
+        self._with_stray_invariant(monkeypatch)
+        rep = verify_invariants_are_central(AlgebraParams(0, 0), 2, Window.symmetric(8))
+        assert not rep.ok
+        assert rep.details["kernel_dim"] > rep.details["center_product_dim"]
+
+    def test_skew_image_reports_a_non_central_tensor(self, monkeypatch):
+        stray = self._with_stray_invariant(monkeypatch)
+        rep = verify_skew_image_lemma(AlgebraParams(0, 0), Window.symmetric(8))
+        assert not rep.ok
+        assert str(stray) in rep.details["failures"]
+
     def test_symmetric_probe_is_moved(self):
         from svlie.tensors import Tensor2, diag_action, skew_part_membership
 
