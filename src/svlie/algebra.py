@@ -134,24 +134,37 @@ def check_index(idx: BasisIndex, s2: Optional[int] = None) -> None:
 class AlgebraParams:
     """Selects one algebra of the family: the pair (s, lam) plus the
     central switch (when False, c is set to zero and dropped everywhere).
-    s2 = 2s (the Y parity class), scale (see bracket_int) and the hash are
-    derived once."""
+
+    Derived once, with the hash: s2 = 2s (the Y parity class), scale (see
+    bracket_int) and the integer multipliers bracket_int reads, scale
+    times lam, (lam + 1)/2, 1/2 and 1/12 (k_lm, k_ly, k_half, k_c)."""
 
     s: Fraction
     lam: Fraction
     central: bool = True
     s2: int = field(init=False, compare=False, repr=False)
     scale: int = field(init=False, compare=False, repr=False)
+    k_lm: int = field(init=False, compare=False, repr=False)
+    k_ly: int = field(init=False, compare=False, repr=False)
+    k_half: int = field(init=False, compare=False, repr=False)
+    k_c: int = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", rat(self.s))
-        object.__setattr__(self, "lam", rat(self.lam))
+        set_ = object.__setattr__
+        set_(self, "s", rat(self.s))
+        set_(self, "lam", rat(self.lam))
         if self.s not in (Fraction(0), HALF):
             raise ValueError(f"s must be 0 or 1/2, got {self.s}")
-        object.__setattr__(self, "s2", int(self.s * 2))
-        object.__setattr__(self, "scale", lcm(12, 2 * self.lam.denominator))
-        object.__setattr__(self, "_hash", hash((self.s, self.lam, self.central)))
+        num, den = self.lam.numerator, self.lam.denominator
+        D = lcm(12, 2 * den)
+        set_(self, "s2", int(self.s * 2))
+        set_(self, "scale", D)
+        set_(self, "k_lm", num * (D // den))
+        set_(self, "k_ly", (num + den) * (D // (2 * den)))
+        set_(self, "k_half", D // 2)
+        set_(self, "k_c", D // 12)
+        set_(self, "_hash", hash((self.s, self.lam, self.central)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -266,25 +279,39 @@ def format_terms(items, tensor: bool) -> str:
     if not items:
         return "0"
     parts: list[str] = []
+    signs = _LEAD
     for key, coeff in items:
-        # the magnitude from the integers: abs(), > and str() on a Fraction
-        # each build objects in Python code
-        num, den = coeff.numerator, coeff.denominator
-        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-        if tensor:
-            body = f"{mag} * {' (x) '.join([idx.label() for idx in key])}"
-        else:
-            body = key.label() if mag == "1" else f"{mag}*{key.label()}"
-        if not parts:
-            parts.append(body if num > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if num > 0 else f"- {body}")
+        parts.append(format_term(key, coeff, tensor, signs))
+        signs = _NEXT
     return " ".join(parts)
+
+
+# the sign of a leading term, and of a term after another one
+_LEAD = ("", "-")
+_NEXT = ("+ ", "- ")
+
+
+def format_term(key, coeff: Fraction, tensor: bool, signs: tuple = _LEAD) -> str:
+    """One term of format_terms, signed as a leading term by default."""
+    # the magnitude from the integers: abs(), > and str() on a Fraction
+    # each build objects in Python code
+    num, den = coeff.numerator, coeff.denominator
+    mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+    if tensor:
+        body = f"{mag} * {' (x) '.join([idx.label() for idx in key])}"
+    else:
+        body = key.label() if mag == "1" else f"{mag}*{key.label()}"
+    return signs[num < 0] + body
 
 
 # ---------------------------------------------------------------------------
 # The bracket
 # ---------------------------------------------------------------------------
+
+# the result indices of bracket_int, shared by every table: a window-64
+# Jacobi check and tensor-square solve reach 207 distinct ones
+_index = lru_cache(maxsize=4096)(BasisIndex)
+
 
 def bracket_int(
     a: BasisIndex, b: BasisIndex, p: AlgebraParams
@@ -303,7 +330,11 @@ def bracket_int(
     plus the antisymmetric flips; anything involving c is zero.  When
     central is off the c coefficient is dropped.  p.scale = lcm(12,
     2 den(lam)) clears the denominators 12, den(lam) and 2 den(lam) of
-    these constants, so every returned coefficient is an int.
+    these constants, so every returned coefficient is an int; the
+    multipliers p.k_lm, p.k_ly, p.k_half and p.k_c are derived once per
+    parameter set.  Only the L-M and L-Y products depend on lam: every
+    other entry is the same for all lam of one (s2, central, scale), which
+    BracketTable shares.  The returned indices are interned.
     """
     check_index(a, p.s2)
     check_index(b, p.s2)
@@ -313,48 +344,70 @@ def bracket_int(
     if (a.kind, b.kind) in (("M", "L"), ("Y", "L")):
         a, b, sign = b, a, -1
     ka, kb = a.kind, b.kind
-    D = p.scale
-    num, den = p.lam.numerator, p.lam.denominator
     out: list[tuple[BasisIndex, int]] = []
     if ka == "L" and kb == "L":
         n, m = a.dd // 2, b.dd // 2
-        coeff = (m - n) * D
+        coeff = (m - n) * p.scale
         if coeff:
-            out.append((BasisIndex("L", a.dd + b.dd), sign * coeff))
+            out.append((_index("L", a.dd + b.dd), sign * coeff))
         if p.central and m + n == 0:
-            cc = (m**3 - m) * (D // 12)
+            cc = (m**3 - m) * p.k_c
             if cc:
                 out.append((C, sign * cc))
     elif ka == "L" and kb == "M":
         n, m = a.dd // 2, b.dd // 2
-        coeff = m * D - num * n * (D // den)
+        coeff = m * p.scale - n * p.k_lm
         if coeff:
-            out.append((BasisIndex("M", a.dd + b.dd), sign * coeff))
+            out.append((_index("M", a.dd + b.dd), sign * coeff))
     elif ka == "L" and kb == "Y":
-        n = a.dd // 2
-        coeff = b.dd * (D // 2) - (num + den) * n * (D // (2 * den))
+        coeff = b.dd * p.k_half - (a.dd // 2) * p.k_ly
         if coeff:
-            out.append((BasisIndex("Y", a.dd + b.dd), sign * coeff))
+            out.append((_index("Y", a.dd + b.dd), sign * coeff))
     elif ka == "Y" and kb == "Y":
-        coeff = (b.dd - a.dd) * (D // 2)
+        coeff = (b.dd - a.dd) * p.k_half
         if coeff:
-            out.append((BasisIndex("M", a.dd + b.dd), sign * coeff))
+            out.append((_index("M", a.dd + b.dd), sign * coeff))
     return tuple(out)
+
+
+# the kind pairs whose bracket depends on lam; every other entry is shared
+_LAM_KINDS = frozenset({("L", "M"), ("M", "L"), ("L", "Y"), ("Y", "L")})
+
+
+@lru_cache(maxsize=8)
+def _lam_free_entries(s2: int, central: bool, scale: int) -> dict:
+    """The bracket_int entries shared by every parameter set with this
+    (s2, central, scale): all but the L-M and L-Y ones.  s2 is part of
+    the key because check_index enforces the Y parity, so a wrong-parity
+    key raises before it can be stored."""
+    return {}
 
 
 class BracketTable(dict):
     """Generator brackets times p.scale, keyed on (a, b) and computed on
     first lookup: bracket_int(a, b, p), or bracket_fn read on the basis
-    pair when one is given."""
+    pair when one is given.
+
+    Without bracket_fn the table starts as a copy of the lam-free entries
+    already computed for its (s2, central, scale), so a new lam computes
+    only its L-M and L-Y entries, and a miss of any other kind is stored
+    there for the next table.  A bracket_fn table neither reads nor
+    writes them."""
 
     def __init__(self, p: AlgebraParams, bracket_fn=None) -> None:
         self.p = p
         self.bracket_fn = bracket_fn
+        self.shared = None
+        if bracket_fn is None:
+            self.shared = _lam_free_entries(p.s2, p.central, p.scale)
+            self.update(self.shared)
 
     def __missing__(self, key: tuple[BasisIndex, BasisIndex]):
         a, b = key
         if self.bracket_fn is None:
             terms = bracket_int(a, b, self.p)
+            if (a.kind, b.kind) not in _LAM_KINDS:
+                self.shared[key] = terms
         else:
             out = self.bracket_fn(Element.basis(a), Element.basis(b))
             terms = tuple((e, c * self.p.scale) for e, c in out.items())
@@ -403,7 +456,9 @@ class BracketTable(dict):
 @lru_cache(maxsize=8)
 def bracket_table(p: AlgebraParams) -> BracketTable:
     """The shared BracketTable of p.  The last few parameter sets are kept,
-    so a sweep over many of them holds a bounded number of tables."""
+    so a sweep over many of them holds a bounded number of tables; a new
+    one starts from the lam-free entries its (s2, central, scale) shares
+    with the parameter sets before it."""
     return BracketTable(p)
 
 

@@ -218,14 +218,21 @@ def assemble(
     rows: list[dict[int, int]] = []
     provenance: list[tuple[BasisIndex, BasisIndex, TargetKey]] = []
 
-    kept = None if target == TENSOR else frozenset(generating_set(p, w))
-    pairs = []
-    for i, g in enumerate(gens):
-        for h in gens[i + 1 :]:
-            if kept is None or g in kept or h in kept:
-                dg, dh = abs(g.dd), abs(h.dd)
-                pairs.append((max(dg, dh), dg + dh, g, h))
-    pairs.sort()
+    if target == TENSOR:
+        oriented = [(g, h) for i, g in enumerate(gens) for h in gens[i + 1 :]]
+    else:
+        # each generating-set generator against every other generator,
+        # each pair once and in gens order
+        rank = {g: i for i, g in enumerate(gens)}
+        oriented = {
+            (g, h) if rank[g] < rank[h] else (h, g)
+            for g in generating_set(p, w)
+            for h in gens
+            if h != g
+        }
+    pairs = sorted(
+        (max(abs(g.dd), abs(h.dd)), abs(g.dd) + abs(h.dd), g, h) for g, h in oriented
+    )
 
     l0 = L(0)
     for _, _, g, h in pairs:

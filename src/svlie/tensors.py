@@ -20,7 +20,7 @@ from .algebra import (
     Window,
     bracket_table,
     diag_action,
-    format_terms,
+    format_term,
     generating_set,
 )
 
@@ -50,7 +50,7 @@ class Tensor2(SparseVector):
 
     def file_lines(self) -> list[str]:
         """One signed term per line, the r-matrix file format."""
-        return [format_terms([item], tensor=True) for item in sorted(self.terms.items())]
+        return [format_term(key, coeff, True) for key, coeff in sorted(self.terms.items())]
 
 
 class Tensor3(SparseVector):

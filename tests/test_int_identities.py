@@ -28,11 +28,14 @@ from svlie.algebra import (
     M,
     Y,
     bracket,
+    BracketTable,
     bracket_int,
     bracket_table,
     check_jacobi,
 )
+from svlie.algebra import _lam_free_entries
 from svlie.cli import main
+from svlie.cohomology import solve_h1
 from svlie.derivations import (
     ALGEBRA,
     TENSOR,
@@ -235,6 +238,106 @@ def test_lambda_sweep_keeps_few_tables():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def shared_entries(p):
+    return _lam_free_entries(p.s2, p.central, p.scale)
+
+
+def lam_dependent(key):
+    return {key[0].kind, key[1].kind} in ({"L", "M"}, {"L", "Y"})
+
+
+class TestSharedLamFreeEntries:
+    """Every lam of one (s2, central, scale) shares the bracket entries
+    other than L-M and L-Y; a new BracketTable starts from them."""
+
+    def test_wrong_parity_raises_after_a_sweep(self):
+        w = Window.symmetric(8)
+        for s in (0, HALF):
+            for k in range(-8, 9):
+                assert check_jacobi(AlgebraParams(s, Fraction(k, 2)), w).ok
+        for s, good, bad in ((0, Y(1), Y(HALF)), (HALF, Y(HALF), Y(1))):
+            table = BracketTable(AlgebraParams(s, Fraction(3, 2)))
+            for x in (bad, BasisIndex("L", 1), BasisIndex("M", -3)):
+                for other in (L(1), L(-2), M(0), good, bad, C):
+                    with pytest.raises(InvalidIndexError):
+                        table[x, other]
+                    with pytest.raises(InvalidIndexError):
+                        table[other, x]
+                assert all(x not in key for key in shared_entries(table.p))
+
+    def test_equal_scale_lambdas_share_lam_free_entries(self):
+        w = Window.symmetric(8)
+        for s in (0, HALF):
+            p, q = AlgebraParams(s, HALF), AlgebraParams(s, Fraction(-3, 2))
+            assert p.scale == q.scale
+            gens = w.basis_indices(p)
+            first = BracketTable(p)
+            for a in gens:
+                for b in gens:
+                    first[a, b]
+            second = BracketTable(q)
+            differ = 0
+            for key, terms in first.items():
+                if lam_dependent(key):
+                    assert key not in second
+                    assert second[key] == bracket_int(*key, q)
+                    differ += second[key] != terms
+                else:
+                    assert dict.get(second, key) is terms
+            assert differ > 0
+
+    def test_central_and_centerless_keep_their_c_terms(self):
+        for lam in (Fraction(7, 3), Fraction(-7, 3)):
+            for central in (True, False):
+                for flag in (central, not central):
+                    p = AlgebraParams(0, lam, flag)
+                    table = BracketTable(p)
+                    for n in range(-4, 5):
+                        assert table[L(n), L(-n)] == bracket_int(L(n), L(-n), p)
+                        has_c = any(e == C for e, _ in table[L(n), L(-n)])
+                        assert has_c == (flag and n not in (-1, 0, 1))
+
+    def test_bracket_fn_table_leaves_shared_entries_untouched(self):
+        p = AlgebraParams(0, 5)
+        assert check_jacobi(p, Window.symmetric(6)).ok
+        shared = shared_entries(p)
+        before = dict(shared)
+        assert before
+
+        def corrupted(x, y):
+            (a,), (b,) = x.terms, y.terms
+            out = Element({e: Fraction(k, p.scale) for e, k in bracket_int(a, b, p)})
+            if (a, b) == (L(1), L(1)):
+                out = out + Element.basis(M(2))
+            return out
+
+        table = BracketTable(p, corrupted)
+        assert not table
+        assert table[L(1), L(1)] == ((M(2), p.scale),)
+        assert not check_jacobi(p, Window.symmetric(6), bracket_fn=corrupted).ok
+        assert shared_entries(p) is shared and shared == before
+        assert bracket_table(p)[L(1), L(1)] == ()
+
+    def test_cached_entries_match_bracket_int_after_the_lambda_sweep(self):
+        """The lambda-sweep benchmark grid: degree-0 solves at window 8,
+        the algebra at every quarter step of [-4, 4], the tensor square
+        at the half-integers."""
+        w = Window.symmetric(8)
+        grid = [AlgebraParams(s, Fraction(k, 4)) for s in (0, HALF) for k in range(-16, 17)]
+        for p in grid:
+            solve_h1(p, ALGEBRA, 0, w)
+            if p.lam.denominator <= 2:
+                solve_h1(p, TENSOR, 0, w)
+        for p in grid:
+            shared = shared_entries(p)
+            assert shared
+            for key, terms in shared.items():
+                assert not lam_dependent(key)
+                assert terms == bracket_int(*key, p)
+            for key, terms in bracket_table(p).items():
+                assert terms == bracket_int(*key, p)
 
 
 @pytest.mark.parametrize("s,lam", ROWS)
