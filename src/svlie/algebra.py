@@ -22,6 +22,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
+from .linalg import RowEchelon
+
 __all__ = [
     "AlgebraParams",
     "BasisIndex",
@@ -40,6 +42,7 @@ __all__ = [
     "bracket_int",
     "bracket_table",
     "center_in_window",
+    "center_keys",
     "check_jacobi",
     "degree_of",
     "diag_action",
@@ -557,17 +560,20 @@ class Window:
 
 def generating_set(p: AlgebraParams, w: Window) -> list[BasisIndex]:
     """The window generators that write the Leibniz rows of
-    cohomology.assemble and act in action_kernel and tensors.check_mybe.
+    cohomology.assemble and act in action_kernel, center_keys and
+    tensors.check_mybe.
 
     On a window that holds doubled degrees -4..4 these are L[0], L[+-1],
     L[+-2] and the Y[q] with |q| <= 1, which generate every generator
     (README, "Generating-set rows"); on any other window, every window
     generator.  What kills a finite tensor is a subalgebra, since the
-    action on it is never truncated, so the action kernels are exact.  A
-    map that is Leibniz against a generating set is a derivation
-    (Farnsteiner, J. Algebra 118, 1988); on windows the kept rows have the
-    rank of all rows, which is checked: without L[0] window 4 loses rank,
-    and without the window guard window 3 and the one-sided windows do.
+    action on it is never truncated, so the action kernels are exact; the
+    center is spanned by the single generators these bracket to zero, as
+    center_keys shows.  A map that is Leibniz against a generating set is
+    a derivation (Farnsteiner, J. Algebra 118, 1988); on windows the kept
+    rows have the rank of all rows, which is checked: without L[0] window
+    4 loses rank, and without the window guard window 3 and the one-sided
+    windows do.
     """
     gens = w.basis_indices(p)
     if not (w.lo <= -4 and w.hi >= 4):
@@ -681,13 +687,11 @@ def check_jacobi(p: AlgebraParams, w: Window, bracket_fn=None) -> JacobiReport:
     return JacobiReport(p, w, checked, failures)
 
 
-def action_kernel(
-    p: AlgebraParams, w: Window, arity: int, symmetric: bool = False
-) -> list[dict]:
-    """Kernel of the diagonal adjoint action on window-supported tensors of
-    total doubled degree 0, as one {key: coefficient} dict per free column.
+def action_kernel(p: AlgebraParams, w: Window, *, symmetric: bool = False) -> list[dict]:
+    """Kernel of the diagonal adjoint action on window-supported pair
+    tensors of total doubled degree 0, as one {(a, b): coefficient} dict
+    per free column.
 
-    Keys are basis indices for arity 1 and ordered index pairs for arity 2.
     The generating set acts, and products are compared to zero wherever
     they land, so what it kills is killed by the brackets it generates:
     every window generator.  With symmetric set, only the symmetric part
@@ -702,16 +706,9 @@ def action_kernel(
     the slice-0 echelon form and kernel vectors equal those of the system
     over every window tensor.
     """
-    from . import linalg
-
     table = bracket_table(p)
     gens = w.basis_indices(p)
-    if arity == 1:
-        keys = [(a,) for a in w.indices_at(0, p)]
-    elif arity == 2:
-        keys = [(a, b) for a in gens for b in w.indices_at(-a.dd, p)]
-    else:
-        raise ValueError("arity must be 1 or 2")
+    keys = [(a, b) for a in gens for b in w.indices_at(-a.dd, p)]
     rows: dict[tuple, dict[int, int]] = {}
     for g in generating_set(p, w):
         if g == L(0):
@@ -726,19 +723,29 @@ def action_kernel(
                         res = min(res, res[::-1])
                     cell = rows.setdefault((g, res), {})
                     cell[col] = cell.get(col, 0) + k
-    ech = linalg.RowEchelon()
+    ech = RowEchelon()
     # rows times p.scale, in build order: the echelon stores the same rows
     for row in rows.values():
         ech.insert(row)
-    labels = [k[0] for k in keys] if arity == 1 else keys
-    return [
-        {labels[i]: c for i, c in vec.items()}
-        for vec in ech.kernel_basis(len(keys))
-    ]
+    return [{keys[i]: c for i, c in vec.items()} for vec in ech.kernel_basis(len(keys))]
+
+
+def center_keys(p: AlgebraParams, w: Window) -> list[BasisIndex]:
+    """The window center: the degree-0 window generators, in canonical
+    order, that every generating-set generator brackets to zero.
+
+    This is exact.  L[0] acts on degree d as multiplication by d, so the
+    center lies in degree 0, and each actor sends L[0], M[0], Y[0] and c
+    to distinct keys (L_n: L_n, M_n, Y_n; Y_q: Y_q, M_q; M_m: M_m), so the
+    action on degree 0 has one column per row and its kernel is spanned
+    by generators.  What the generating set kills, every generator kills.
+    """
+    table = bracket_table(p)
+    gens = generating_set(p, w)
+    return [z for z in w.indices_at(0, p) if not any(table[g, z] for g in gens)]
 
 
 def center_in_window(p: AlgebraParams, w: Window) -> list[Element]:
     """Basis of the window-supported vectors killed by every in-window
-    generator: the arity-1 action kernel, where the generating set acts.
-    It lies in degree 0: L[0] acts on degree d as multiplication by d."""
-    return [Element(vec) for vec in action_kernel(p, w, 1)]
+    generator: the unit vectors at center_keys."""
+    return [Element.basis(z) for z in center_keys(p, w)]

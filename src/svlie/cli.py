@@ -52,8 +52,8 @@ class UsageError(ValueError):
 
 def _parse_rational(text: str) -> Fraction:
     text = text.strip()
-    if "." in text:
-        raise UsageError(f"decimal input is rejected, use a rational like -5/3: {text!r}")
+    if any(ch in text for ch in ".eE"):  # Fraction reads 1e5000, too long to print
+        raise UsageError(f"decimals and exponents are rejected, use a rational like -5/3: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -403,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     algebra_flags(sp)
 
     sp = sub.add_parser("verify-paper", help="run the full verification suite")
-    sp.add_argument("--window", type=int, default=16, metavar="N")
+    sp.add_argument("--window", type=int, default=16, metavar="N",
+                    help="window of criteria 6 and 9 only, capped at 16 (default "
+                    "16); the other criteria run on pinned windows")
     sp.add_argument("--json", action="store_true")
 
     return parser

@@ -22,7 +22,7 @@ from .algebra import (
     Window,
     action_kernel,
     bracket_table,
-    center_in_window,
+    center_keys,
     generating_set,
     rat,
 )
@@ -131,22 +131,6 @@ def _slice_keys(
     return keys
 
 
-def _center_index_set(p: AlgebraParams, w: Window) -> frozenset:
-    """Window center as a set of basis indices.
-
-    Every center basis vector of this family is a single generator; the
-    restricted tensor target relies on that, and so do the criterion-8
-    checks, which read center products as unit vectors.
-    """
-    out = set()
-    for el in center_in_window(p, w):
-        support = el.support()
-        if len(support) != 1:
-            raise NotImplementedError("non-monomial center basis")
-        out.add(support[0])
-    return frozenset(out)
-
-
 def assemble(
     p: AlgebraParams,
     target: str,
@@ -180,7 +164,7 @@ def assemble(
     if shift2.denominator != 1:
         raise ValueError(f"degree must be an integer or half-integer: {alpha}")
     shift = int(shift2)
-    center_set = _center_index_set(p, w) if target == CENTER_TENSOR else None
+    center_set = frozenset(center_keys(p, w)) if target == CENTER_TENSOR else None
     base = TENSOR if target == CENTER_TENSOR else target
 
     gens = sorted(w.basis_indices(p), key=_gen_order)
@@ -583,15 +567,15 @@ def verify_invariants_are_central(
 ) -> CheckReport:
     """Invariant window tensors coincide with products of central elements
     on the interior: the unit vectors at the keys Z or Z x Z, Z the
-    monomial center, which lies in degree 0 and so in the interior."""
+    generators center_keys shows span the center, all in degree 0."""
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
-    center = sorted(_center_index_set(p, w))
+    center = center_keys(p, w)
     if n == 1:
         kernel = [Element.basis(z) for z in center]
         keys = set(center)
     else:
-        kernel = [Tensor2(vec) for vec in action_kernel(p, w, 2)]
+        kernel = [Tensor2(vec) for vec in action_kernel(p, w)]
         keys = {(z1, z2) for z1 in center for z2 in center}
     inner = w.interior()
     # the interior keys the kernel rows touch, numbered as echelon columns
@@ -618,17 +602,17 @@ def verify_invariants_are_central(
 def verify_skew_image_lemma(p: AlgebraParams, w: Window) -> CheckReport:
     """Window tensors whose orbit is skew decompose, on the interior, as a
     skew tensor plus a product of central elements: v + twist(v) has no
-    key outside Z x Z, Z the monomial center."""
+    key outside Z x Z, Z the generators center_keys shows span the center."""
     # Only the degree-0 slice can fail: off it the symmetric-part kernel
     # is the skew tensors, one per unordered pair of distinct generators
     # whose degrees do not cancel.
-    basis = [Tensor2(vec) for vec in action_kernel(p, w, 2, symmetric=True)]
+    basis = [Tensor2(vec) for vec in action_kernel(p, w, symmetric=True)]
     gens = w.basis_indices(p)
     off_slice = sum(
         1 for i, a in enumerate(gens) for b in gens[i + 1:] if a.dd + b.dd != 0
     )
 
-    center = _center_index_set(p, w)
+    center = center_keys(p, w)
     inner = w.interior()
     failures = []
     for v in basis:
@@ -658,7 +642,7 @@ def verify_center_tensor_identity(p: AlgebraParams, w: Window) -> CheckReport:
     left, right = report.dim_h1, len(report.quotient_names)
 
     h1_report = solve_h1(p, ALGEBRA, 0, w)
-    center_dim = len(_center_index_set(p, w))
+    center_dim = len(center_keys(p, w))
     naive = 2 * center_dim * h1_report.dim_h1
 
     ok = left == right

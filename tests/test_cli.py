@@ -49,12 +49,22 @@ class TestBracketCommand:
         assert code == 2
         assert "parity" in err
 
-    def test_decimal_lambda_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bracket", "--s", "0", "--lambda", "0.5", "L[1]", "L[2]"
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bracket", "--s", "0", "--lambda", "0.5", "L[1]", "L[2]"],
+            # exponent forms: Fraction reads them, and printing the number
+            # they build passes the 4,300-digit limit of str(int)
+            ["bracket", "--s", "0", "--lambda", "1e5000", "L[1]", "M[1]"],
+            ["h1", "--s", "0", "--lambda", "0", "--degree", "1e-5000", "--window", "4"],
+        ],
+        ids=["decimal", "exponent-lambda", "exponent-degree"],
+    )
+    def test_decimal_lambda_rejected(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "rational" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_negative_fraction_lambda(self, capsys):
         code, out, _ = run_cli(

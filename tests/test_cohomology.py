@@ -387,8 +387,8 @@ class TestStructuralChecks:
         real = cohomology.action_kernel
         stray = {(L(1), L(-1)): Fraction(1)}
 
-        def kernel(p, w, arity, symmetric=False):
-            return real(p, w, arity, symmetric) + ([stray] if arity == 2 else [])
+        def kernel(p, w, *, symmetric=False):
+            return real(p, w, symmetric=symmetric) + [stray]
 
         monkeypatch.setattr(cohomology, "action_kernel", kernel)
         return Tensor2(stray)

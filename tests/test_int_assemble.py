@@ -38,6 +38,7 @@ from svlie.algebra import (
     Y,
     bracket,
     bracket_int,
+    center_keys,
     generating_set,
 )
 from svlie import cohomology
@@ -45,7 +46,6 @@ from svlie.cohomology import (
     CASE_ROWS,
     CENTER_TENSOR,
     CohomologyReport,
-    _center_index_set,
     _gen_order,
     _twist_parts,
     assemble,
@@ -142,7 +142,7 @@ def reference_assemble(p, target, alpha, w):
     """The Fraction assembly: (labels, index, rows, provenance, gens,
     slice_keys, center_set), keeping the pairs that keeps_pair names."""
     shift = int(alpha * 2)
-    center_set = _center_index_set(p, w) if target == CENTER_TENSOR else None
+    center_set = frozenset(center_keys(p, w)) if target == CENTER_TENSOR else None
     base = TENSOR if target == CENTER_TENSOR else target
     gens = sorted(w.basis_indices(p), key=_gen_order)
     slice_keys = {

@@ -178,7 +178,7 @@ def test_reports_match_full_pair_reference(s, lam, central):
         degree_zero = [
             v for v in sym_kernel if all(a.dd + b.dd == 0 for a, b in v)
         ]
-        assert action_kernel(p, w, 2, symmetric=True) == degree_zero
+        assert action_kernel(p, w, symmetric=True) == degree_zero
 
 
 EXACT_LAMBDAS = [Fraction(k, 4) for k in range(-16, 17)] + [
@@ -195,10 +195,21 @@ EXACT_WINDOWS = [Window.symmetric(b) for b in range(2, 7)] + [
 
 def kernels_of(p, w):
     return [
-        action_kernel(p, w, 1),
-        action_kernel(p, w, 2),
-        action_kernel(p, w, 2, symmetric=True),
+        center_in_window(p, w),
+        action_kernel(p, w),
+        action_kernel(p, w, symmetric=True),
     ]
+
+
+@pytest.mark.parametrize("central", [True, False], ids=["central", "centerless"])
+@pytest.mark.parametrize("s", [Fraction(0), HALF], ids=["s=0", "s=1/2"])
+def test_center_keys_equal_full_center(s, central):
+    # every generator acting on every window vector, all slices in one
+    # system; the one-sided windows act with every generator
+    for lam in EXACT_LAMBDAS:
+        p = AlgebraParams(s, lam, central)
+        for w in EXACT_WINDOWS:
+            assert center_in_window(p, w) == full_center(p, w), (p, w)
 
 
 def all_actor_kernels(p, w):
@@ -292,13 +303,14 @@ def test_window_64_pair_kernel_rows(monkeypatch):
         return insert(ech, row)
 
     monkeypatch.setattr(linalg.RowEchelon, "insert", counting_insert)
-    action_kernel(AlgebraParams(0, 0), Window.symmetric(64), 2)
+    action_kernel(AlgebraParams(0, 0), Window.symmetric(64))
     assert len(inserted) == 3974
 
 
 def test_arity_is_checked():
-    with pytest.raises(ValueError):
-        action_kernel(AlgebraParams(0, 0), Window.symmetric(2), 3)
+    # symmetric is keyword-only: a stale arity argument cannot bind to it
+    with pytest.raises(TypeError):
+        action_kernel(AlgebraParams(0, 0), Window.symmetric(2), 2)
 
 
 @pytest.mark.parametrize(
