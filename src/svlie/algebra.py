@@ -15,6 +15,7 @@ function.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,6 +29,7 @@ __all__ = [
     "AlgebraParams",
     "BasisIndex",
     "BracketTable",
+    "CoefficientTooLongError",
     "Element",
     "InvalidIndexError",
     "JacobiReport",
@@ -68,6 +70,10 @@ def rat(x: Rational) -> Fraction:
 
 class InvalidIndexError(ValueError):
     """A basis index is malformed or violates the Y-parity rule for s."""
+
+
+class CoefficientTooLongError(ValueError):
+    """A coefficient to print has more digits than str(int) converts."""
 
 
 class BasisIndex(NamedTuple):
@@ -299,7 +305,11 @@ def format_term(key, coeff: Fraction, tensor: bool, signs: tuple = _LEAD) -> str
     # the magnitude from the integers: abs(), > and str() on a Fraction
     # each build objects in Python code
     num, den = coeff.numerator, coeff.denominator
-    mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+    try:
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+    except ValueError:  # str(int) raises it only past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise CoefficientTooLongError(f"a coefficient exceeds the {limit}-digit limit") from None
     if tensor:
         body = f"{mag} * {' (x) '.join([idx.label() for idx in key])}"
     else:
@@ -687,21 +697,18 @@ def check_jacobi(p: AlgebraParams, w: Window, bracket_fn=None) -> JacobiReport:
     return JacobiReport(p, w, checked, failures)
 
 
-def action_kernel(p: AlgebraParams, w: Window, *, symmetric: bool = False) -> list[dict]:
+def action_kernel(p: AlgebraParams, w: Window) -> list[dict]:
     """Kernel of the diagonal adjoint action on window-supported pair
     tensors of total doubled degree 0, as one {(a, b): coefficient} dict
     per free column.
 
     The generating set acts, and products are compared to zero wherever
     they land, so what it kills is killed by the brackets it generates:
-    every window generator.  With symmetric set, only the symmetric part
-    of each product must vanish (the pair keys of a product are folded
-    onto their sorted form).
+    every window generator.
 
     Only the degree-0 slice is built, which is exact: L[0] is in every
     window and acts on a key of total degree d as multiplication by d, so
-    on a slice with d != 0 the invariant kernel is zero and the
-    symmetric-part kernel is exactly the skew tensors.  A generator of
+    on a slice with d != 0 the invariant kernel is zero.  A generator of
     degree e maps slice d into slice d + e, so rows never mix slices and
     the slice-0 echelon form and kernel vectors equal those of the system
     over every window tensor.
@@ -719,8 +726,6 @@ def action_kernel(p: AlgebraParams, w: Window, *, symmetric: bool = False) -> li
             for slot, x in enumerate(key):
                 for e, k in table[g, x]:
                     res = key[:slot] + (e,) + key[slot + 1:]
-                    if symmetric:
-                        res = min(res, res[::-1])
                     cell = rows.setdefault((g, res), {})
                     cell[col] = cell.get(col, 0) + k
     ech = RowEchelon()

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .algebra import (
     AlgebraParams,
+    CoefficientTooLongError,
     Element,
     InvalidIndexError,
     Window,
@@ -441,7 +442,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         _validate(args)
         return _HANDLERS[args.command](args)
-    except (UsageError, LiteralError, InvalidIndexError) as exc:
+    except (UsageError, LiteralError, InvalidIndexError, CoefficientTooLongError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

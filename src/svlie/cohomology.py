@@ -33,7 +33,7 @@ from .derivations import (
     catalog_basis,
 )
 from .linalg import RowEchelon, int_row
-from .tensors import Tensor2
+from .tensors import Tensor2, twist
 
 __all__ = [
     "CENTER_TENSOR",
@@ -567,7 +567,9 @@ def verify_invariants_are_central(
 ) -> CheckReport:
     """Invariant window tensors coincide with products of central elements
     on the interior: the unit vectors at the keys Z or Z x Z, Z the
-    generators center_keys shows span the center, all in degree 0."""
+    generators center_keys shows span the center, all in degree 0.  Order 1
+    ranks the unit vectors at Z against Z, so it passes by construction:
+    center_keys' proof and test_center_keys_equal_full_center back it."""
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
     center = center_keys(p, w)
@@ -602,33 +604,25 @@ def verify_invariants_are_central(
 def verify_skew_image_lemma(p: AlgebraParams, w: Window) -> CheckReport:
     """Window tensors whose orbit is skew decompose, on the interior, as a
     skew tensor plus a product of central elements: v + twist(v) has no
-    key outside Z x Z, Z the generators center_keys shows span the center."""
-    # Only the degree-0 slice can fail: off it the symmetric-part kernel
-    # is the skew tensors, one per unordered pair of distinct generators
-    # whose degrees do not cancel.
-    basis = [Tensor2(vec) for vec in action_kernel(p, w, symmetric=True)]
-    gens = w.basis_indices(p)
-    off_slice = sum(
-        1 for i, a in enumerate(gens) for b in gens[i + 1:] if a.dd + b.dd != 0
-    )
+    key outside Z x Z, Z the generators center_keys shows span the center.
 
+    The twist commutes with the action, so v has a skew orbit exactly when
+    v + twist(v) is in the invariant kernel K, i.e. v is a skew tensor plus
+    a symmetric one in K.  The key condition is linear: u + twist(u) over a
+    basis u of K decides it, a failing u being a counterexample.  space_dim
+    is N(N-1)/2 (N window generators) plus the rank of the u + twist(u)."""
     center = center_keys(p, w)
-    inner = w.interior()
+    columns: dict = {}
+    ech = RowEchelon()
     failures = []
-    for v in basis:
-        v_int = _interior_vec(v, inner)
-        if any(
-            not (k[0] in center and k[1] in center) and c + v_int.get(k[::-1], 0)
-            for k, c in v_int.items()
-        ):
-            failures.append(str(v))
-    return CheckReport(
-        "skew-image",
-        p,
-        w,
-        not failures,
-        {"space_dim": len(basis) + off_slice, "failures": failures},
-    )
+    for u in map(Tensor2, action_kernel(p, w)):
+        sym = u + twist(u)
+        ech.insert(int_row({columns.setdefault(k, len(columns)): c for k, c in sym.terms.items()}))
+        if any(not (k[0] in center and k[1] in center) for k in _interior_vec(sym, w.interior())):
+            failures.append(str(u))
+    n = len(w.basis_indices(p))
+    details = {"space_dim": n * (n - 1) // 2 + ech.rank, "failures": failures}
+    return CheckReport("skew-image", p, w, not failures, details)
 
 
 def verify_center_tensor_identity(p: AlgebraParams, w: Window) -> CheckReport:

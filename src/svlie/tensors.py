@@ -18,6 +18,7 @@ from .algebra import (
     Element,
     SparseVector,
     Window,
+    bracket,
     bracket_table,
     diag_action,
     format_term,
@@ -207,8 +208,6 @@ def check_cojacobi_identity(r: Tensor2, x: Element, p: AlgebraParams) -> bool:
 
 def check_compatibility(r: Tensor2, x: Element, y: Element, p: AlgebraParams) -> bool:
     """Cocycle identity for the coboundary: it must hold for any r."""
-    from .algebra import bracket
-
     lhs = coboundary(r, bracket(x, y, p), p)
     rhs = diag_action(x, coboundary(r, y, p), p) - diag_action(
         y, coboundary(r, x, p), p

@@ -363,6 +363,34 @@ class TestLiteralDigits:
         assert code == 2 and out == ""
         assert err == "error: line 1, column 1: integer has too many digits (at '11111111')\n"
 
+    @pytest.mark.parametrize("command", ["bracket", "coboundary", "cybe"])
+    def test_oversized_product_coefficient_is_usage_error(self, capsys, tmp_path, command):
+        # each factor is below the parser's digit cap; the printed product,
+        # 6,000 digits, is past the limit of str(int)
+        big = "1" * 3000
+        path = tmp_path / "big.r"
+        path.write_text(f"{big} * L[1] (x) M[2]\n")
+        argv = {
+            "bracket": ["bracket", f"{big}*L[1]", f"{big}*M[1]"],
+            "coboundary": ["coboundary", "--r", str(path), f"{big}*L[1]"],
+            "cybe": ["cybe", "--r", str(path)],
+        }[command]
+        code, out, err = run_cli(capsys, *argv, "--s", "0", "--lambda", "0")
+        assert (code, out) == (2, "")
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and f"{sys.get_int_max_str_digits()}-digit limit" in errors[0]
+        assert "Traceback" not in err
+
+    def test_other_value_errors_still_raise(self, monkeypatch):
+        from svlie import cli
+
+        def broken(x, y, p):
+            raise ValueError("not a digit limit")
+
+        monkeypatch.setattr(cli, "bracket", broken)
+        with pytest.raises(ValueError, match="not a digit limit"):
+            main(["bracket", "--s", "0", "--lambda", "0", "L[1]", "M[1]"])
+
 
 class TestH1Command:
     def test_algebra_report(self, capsys):

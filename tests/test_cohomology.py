@@ -387,8 +387,8 @@ class TestStructuralChecks:
         real = cohomology.action_kernel
         stray = {(L(1), L(-1)): Fraction(1)}
 
-        def kernel(p, w, *, symmetric=False):
-            return real(p, w, symmetric=symmetric) + [stray]
+        def kernel(p, w):
+            return real(p, w) + [stray]
 
         monkeypatch.setattr(cohomology, "action_kernel", kernel)
         return Tensor2(stray)
@@ -404,6 +404,18 @@ class TestStructuralChecks:
         rep = verify_skew_image_lemma(AlgebraParams(0, 0), Window.symmetric(8))
         assert not rep.ok
         assert str(stray) in rep.details["failures"]
+
+    def test_skew_invariant_fails_invariants_but_not_skew_image(self, monkeypatch):
+        # a skew invariant outside Z x Z breaks the invariants lemma, but
+        # u + twist(u) = 0 leaves the skew-image lemma nothing to reject
+        from svlie import cohomology
+
+        real = cohomology.action_kernel
+        skew = {(L(1), L(-1)): Fraction(1), (L(-1), L(1)): Fraction(-1)}
+        monkeypatch.setattr(cohomology, "action_kernel", lambda p, w: real(p, w) + [skew])
+        p, w = AlgebraParams(0, 0), Window.symmetric(8)
+        assert not verify_invariants_are_central(p, 2, w).ok
+        assert verify_skew_image_lemma(p, w).ok
 
     def test_symmetric_probe_is_moved(self):
         from svlie.tensors import Tensor2, diag_action, skew_part_membership

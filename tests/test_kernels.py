@@ -139,8 +139,8 @@ def reference_invariants(p, n, w, center, pair_kernel):
     )
 
 
-def reference_skew(p, w, center, sym_kernel):
-    basis = [Tensor2(v) for v in sym_kernel]
+def reference_skew(p, w, center, pair_kernel, sym_kernel):
+    basis = [Tensor2(v) for v in pair_kernel]
     products = [tensor_of(z1, z2) for z1 in center for z2 in center]
     inner = w.interior()
     product_vecs = [_interior_vec(v, inner) for v in products]
@@ -156,7 +156,7 @@ def reference_skew(p, w, center, sym_kernel):
         p,
         w,
         not failures,
-        {"space_dim": len(basis), "failures": failures},
+        {"space_dim": len(sym_kernel), "failures": failures},
     )
 
 
@@ -173,12 +173,7 @@ def test_reports_match_full_pair_reference(s, lam, central):
             got = verify_invariants_are_central(p, n, w).as_dict()
             assert got == reference_invariants(p, n, w, center, pair_kernel).as_dict()
         got = verify_skew_image_lemma(p, w).as_dict()
-        assert got == reference_skew(p, w, center, sym_kernel).as_dict()
-        # the graded kernel is exactly the degree-0 part of the full one
-        degree_zero = [
-            v for v in sym_kernel if all(a.dd + b.dd == 0 for a, b in v)
-        ]
-        assert action_kernel(p, w, symmetric=True) == degree_zero
+        assert got == reference_skew(p, w, center, pair_kernel, sym_kernel).as_dict()
 
 
 EXACT_LAMBDAS = [Fraction(k, 4) for k in range(-16, 17)] + [
@@ -197,7 +192,6 @@ def kernels_of(p, w):
     return [
         center_in_window(p, w),
         action_kernel(p, w),
-        action_kernel(p, w, symmetric=True),
     ]
 
 
@@ -307,8 +301,21 @@ def test_window_64_pair_kernel_rows(monkeypatch):
     assert len(inserted) == 3974
 
 
+@pytest.mark.parametrize(
+    "s,lam,space_dim,kernel_dim",
+    [(0, 0, 19113, 4), (HALF, -2, 18916, 1), (0, Fraction(-5, 3), 19111, 1)],
+    ids=["0,0", "1/2,-2", "0,-5/3"],
+)
+def test_window_64_skew_and_invariant_dims(s, lam, space_dim, kernel_dim):
+    p, w = AlgebraParams(s, lam), Window.symmetric(64)
+    rep = verify_skew_image_lemma(p, w)
+    assert rep.ok and rep.details["space_dim"] == space_dim
+    rep = verify_invariants_are_central(p, 2, w)
+    assert rep.ok and rep.details["kernel_dim"] == kernel_dim
+
+
 def test_arity_is_checked():
-    # symmetric is keyword-only: a stale arity argument cannot bind to it
+    # action_kernel takes (p, w) only: a stale arity argument raises
     with pytest.raises(TypeError):
         action_kernel(AlgebraParams(0, 0), Window.symmetric(2), 2)
 
