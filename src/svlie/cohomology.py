@@ -136,6 +136,8 @@ def assemble(
     target: str,
     alpha: Union[Fraction, int, str],
     w: Window,
+    *,
+    _actors: Optional[Sequence[BasisIndex]] = None,
 ) -> LinearSystem:
     """Build the exact linear system for degree-alpha derivation tables.
 
@@ -156,6 +158,10 @@ def assemble(
     On the center-tensor target only the rows at keys with a central first
     leg are emitted: the others are their twists (README, "The twist
     halving").  labels and index stay complete.
+
+    _actors, for solve_h1 only, replaces the generating set off the raw
+    tensor square: solve_h1 passes [L[0]] for the L[0] rows of a nonzero
+    degree.
     """
     if target not in (ALGEBRA, TENSOR, CENTER_TENSOR):
         raise ValueError(f"unknown target {target!r}")
@@ -210,7 +216,7 @@ def assemble(
         rank = {g: i for i, g in enumerate(gens)}
         oriented = {
             (g, h) if rank[g] < rank[h] else (h, g)
-            for g in generating_set(p, w)
+            for g in (generating_set(p, w) if _actors is None else _actors)
             for h in gens
             if h != g
         }
@@ -333,9 +339,35 @@ def table_to_vector(system: LinearSystem, table: DerivationTable) -> dict[int, F
     return {k: c for k, c in vec.items() if c}
 
 
+class _CountedOnRead:
+    """A dataclass field that may be given a function of no arguments in
+    place of its value: the first read calls it and keeps the result."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)  # the field has no default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass
 class CohomologyReport:
-    """Exact dimensions after interior restriction, with certificates."""
+    """Exact dimensions after interior restriction, with certificates.
+
+    n_rows counts the rows of the full system, twin rows included.  When
+    solve_h1 decided a nonzero degree without assembling that system, it
+    passes a function that assembles and counts it, called when n_rows is
+    first read (so also by as_dict, ==, repr and dataclasses.replace); the
+    value is the same either way.
+    """
 
     params: AlgebraParams
     target: str
@@ -344,7 +376,7 @@ class CohomologyReport:
     dim_der: int
     dim_inn: int
     n_unknowns: int
-    n_rows: int
+    n_rows: int = _CountedOnRead()
     quotient_names: list[str] = field(default_factory=list)
     certified: bool = False
     method: str = "full-window"
@@ -439,6 +471,38 @@ def _twist_parts(system: LinearSystem, interior: frozenset) -> tuple[list, list]
     return a_rows, parts
 
 
+def _row_count(system: LinearSystem) -> int:
+    """The rows of the full system: on the center tensor the rows at keys
+    (z, x), x outside the center, stand for their twins too."""
+    if system.center_set is None:
+        return len(system.rows)
+    center = system.center_set
+    return len(system.rows) + sum(t[1] not in center for _, _, t in system.provenance)
+
+
+def _interior_nullity(system: LinearSystem, interior: frozenset) -> int:
+    """The dimension of the system's kernel restricted to the interior
+    labels: the interior unit rows independent of the rows.  The center
+    tensor is ranked as its twist-symmetric plus antisymmetric part
+    (_twist_parts), which covers the twin rows."""
+    if system.center_set is None:
+        head, parts = [], [(system.rows, sorted(interior))]
+    else:
+        head, parts = _twist_parts(system, interior)
+    ech = RowEchelon()
+    for row in head:
+        ech.insert(row)
+    dim = 0
+    for rows, units in parts:
+        ech_part = ech.copy()
+        for row in rows:
+            ech_part.insert(row)
+        for lab in units:
+            if ech_part.insert({lab: 1}) is not None:
+                dim += 1
+    return dim
+
+
 def solve_h1(
     p: AlgebraParams,
     target: str,
@@ -454,7 +518,8 @@ def solve_h1(
     quotient: by default the case row's named constructors at degree 0
     and the empty family at any other degree.  The report is marked
     certified when the independent candidates span the quotient exactly;
-    otherwise note says how far they fall short.
+    otherwise note says how far they fall short.  A system passed in must
+    have been assembled for these params, degree, window and target.
 
     Tensor-square degree slices are infinite in each degree, so a raw
     window kernel also contains shadows of derivations into the completed
@@ -466,35 +531,48 @@ def solve_h1(
     (_twist_parts); rows counts the full system, twin rows included.
     Every row is inserted as assembled, in assembly order: the echelon's
     stored rows do not depend on either.
+
+    A nonzero degree alpha, with no system passed, is first decided from
+    the rows of the pairs (L[0], h) alone (README, "Nonzero degrees").
+    Such a row says alpha D(h) = h . D(L[0]) wherever it is emitted, so D
+    is the inner derivation g -> g . D(L[0])/alpha on every label an L[0]
+    row reaches, and the short path nearly always decides.  It is exact:
+    truncated inner vectors satisfy every emitted row, so Inn <= K, the
+    kernel of all rows; the L[0] rows are some of the rows, so K <= K0,
+    their kernel.  On the interior dim_inn <= dim_der <= dim0, dim0 being
+    K0's dimension there, so dim0 == dim_inn gives dim_der = dim_inn.
+    Otherwise the full system is assembled and solved.  When the short
+    path decides, n_rows assembles the full system to count its rows only
+    when first read.
     """
     solve_target = CENTER_TENSOR if target == TENSOR else target
     method = "center-reduced" if target == TENSOR else "full-window"
-    if system is not None and system.target != solve_target:
-        raise ValueError(
-            f"system target {system.target!r} does not match {solve_target!r}"
-        )
-    sys_ = system if system is not None else assemble(p, solve_target, alpha, w)
+    alpha = rat(alpha)
+    if system is not None:
+        for name, got, want in (
+            ("target", system.target, solve_target),
+            ("params", system.params, p),
+            ("alpha", system.alpha, alpha),
+            ("window", system.window, w),
+        ):
+            if got != want:
+                raise ValueError(f"system {name} {got!r} does not match {want!r}")
+    short = system is None and alpha != 0
+    sys_ = system if system is not None else assemble(
+        p, solve_target, alpha, w, _actors=[L(0)] if short else None
+    )
     interior = frozenset(sys_.interior_ids())
-    if sys_.center_set is None:
-        head, parts = [], [(sys_.rows, sorted(interior))]
-    else:
-        head, parts = _twist_parts(sys_, interior)
-    ech = RowEchelon()
-    for row in head:
-        ech.insert(row)
-    dim_der = 0
-    for rows, units in parts:
-        ech_part = ech.copy()
-        for row in rows:
-            ech_part.insert(row)
-        for lab in units:
-            if ech_part.insert({lab: 1}) is not None:
-                dim_der += 1
+    dim_der = _interior_nullity(sys_, interior)
 
     ech_inn = RowEchelon()
     for vec in inner_vectors(sys_):
         ech_inn.insert({k: c for k, c in vec.items() if k in interior})
     dim_inn = ech_inn.rank
+    if short and dim_der != dim_inn:
+        # the L[0] rows leave more than the inner space: solve in full
+        sys_ = assemble(p, solve_target, alpha, w)
+        dim_der = _interior_nullity(sys_, interior)
+        short = False
     dim_h1 = dim_der - dim_inn
 
     if candidates is None:
@@ -525,7 +603,10 @@ def solve_h1(
         dim_der=dim_der,
         dim_inn=dim_inn,
         n_unknowns=sys_.n_unknowns,
-        n_rows=len(sys_.rows) + len(head),
+        n_rows=(
+            (lambda: _row_count(assemble(p, solve_target, alpha, w)))
+            if short else _row_count(sys_)
+        ),
         quotient_names=names,
         certified=certified,
         method=method,

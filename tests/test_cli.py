@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from svlie import AlgebraParams, Window, catalog
+from svlie import AlgebraParams, Window, assemble, catalog, solve_h1
 from svlie.cli import main
 from svlie.derivations import table_to_json
 
@@ -425,6 +425,31 @@ class TestH1Command:
         )
         assert (code, out) == (2, "")
         assert err == "error: degree must be an integer or half-integer: 1/3\n"
+
+
+    @pytest.mark.parametrize(
+        "target,solved,rows,unknowns,dim",
+        [
+            ("algebra", "algebra", 4266, 582, 3),
+            ("tensor-square", "center-tensor", 17002, 2316, 12),
+        ],
+    )
+    def test_nonzero_degree_rows_at_window_64(self, capsys, target, solved, rows, unknowns, dim):
+        """rows counts the full system although the L[0] rows decide the
+        degree, and the count is the same whether or not it is read first."""
+        code, out, _ = run_cli(
+            capsys, "h1", "--s", "0", "--lambda", "0", "--degree", "1",
+            "--window", "64", "--target", target, "--json",
+        )
+        report = json.loads(out)["report"]
+        assert code == 0
+        assert (report["rows"], report["unknowns"]) == (rows, unknowns)
+        assert (report["dim_der"], report["dim_inn"]) == (dim, dim)
+        p, w = AlgebraParams(0, 0), Window.symmetric(64)
+        first, second = solve_h1(p, target, 1, w), solve_h1(p, target, 1, w)
+        assert first.n_rows == rows
+        assert first == second and second.as_dict()["rows"] == rows
+        assert first == solve_h1(p, target, 1, w, system=assemble(p, solved, 1, w))
 
 
 class TestDeterminism:

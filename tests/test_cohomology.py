@@ -18,6 +18,7 @@ from svlie import (
     verify_invariants_are_central,
     verify_skew_image_lemma,
 )
+from svlie import cohomology
 from svlie.cohomology import (
     CENTER_TENSOR,
     inner_vectors,
@@ -338,6 +339,73 @@ class TestNonzeroDegrees:
         for target in ("algebra", "tensor-square"):
             rep = solve_h1(p, target, alpha, Window.symmetric(10))
             assert rep.dim_h1 == 0
+
+    def test_l0_rows_decide_as_the_full_system(self, monkeypatch):
+        """solve_h1 decides a nonzero degree from the L[0] rows when their
+        interior kernel is the inner space, and assembles the full system
+        otherwise.  Either way its report, rows included, is that of the
+        full system passed in, whose dim_der and row count are checked
+        against every row, twins included.  Only the one-sided and skewed
+        windows fall back."""
+        real = cohomology.assemble
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cohomology, "assemble", counted)
+        windows = [Window.symmetric(4), Window.symmetric(6)]
+        windows += [Window(0, 6), Window(-6, 0), Window(-2, 5)]
+        lambdas = [Fraction(k) for k in (0, -1, -2, -3, 3)]
+        lambdas += [HALF, Fraction(-5, 3)]
+        fallbacks = set()
+        for s in (Fraction(0), HALF):
+            for lam in lambdas:
+                for central in (True, False):
+                    p = AlgebraParams(s, lam, central)
+                    for w in windows:
+                        # +-1/2 to +-3, and one degree past the window
+                        twos = [k for k in range(-6, 7) if k] + [w.hi - w.lo + 2]
+                        for target in ("algebra", "tensor-square"):
+                            solved = CENTER_TENSOR if target == TENSOR else target
+                            for two in twos:
+                                alpha = Fraction(two, 2)
+                                case = (p, target, alpha, w)
+                                calls.clear()
+                                got = solve_h1(p, target, alpha, w)
+                                if len(calls) > 1:
+                                    fallbacks.add((w.lo, w.hi))
+                                got = got.as_dict()
+                                system = real(p, solved, alpha, w)
+                                want = solve_h1(p, target, alpha, w, system=system)
+                                assert got == want.as_dict(), case
+                                rows = full_rows(system)
+                                ech = RowEchelon()
+                                for row in rows:
+                                    ech.insert(row)
+                                dim_der = sum(
+                                    ech.insert({lab: 1}) is not None
+                                    for lab in system.interior_ids()
+                                )
+                                assert (got["dim_der"], got["rows"]) == (dim_der, len(rows)), case
+        assert fallbacks == {(0, 6), (-6, 0), (-2, 5)}
+
+    @pytest.mark.parametrize(
+        "field,args",
+        [
+            ("target", (AlgebraParams(0, 0), "tensor-square", 1, Window.symmetric(8))),
+            ("params", (AlgebraParams(0, 5), "algebra", 1, Window.symmetric(8))),
+            ("params", (AlgebraParams(0, 0, False), "algebra", 1, Window.symmetric(8))),
+            ("alpha", (AlgebraParams(0, 0), "algebra", 0, Window.symmetric(8))),
+            ("window", (AlgebraParams(0, 0), "algebra", 1, Window.symmetric(12))),
+        ],
+    )
+    def test_passed_system_must_match_the_arguments(self, field, args):
+        system = assemble(AlgebraParams(0, 0), "algebra", 1, Window.symmetric(8))
+        with pytest.raises(ValueError, match=f"^system {field} .* does not match"):
+            solve_h1(*args, system=system)
+        solve_h1(AlgebraParams(0, 0), "algebra", 1, Window.symmetric(8), system=system)
 
 
 class TestStructuralChecks:
