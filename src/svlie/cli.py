@@ -41,6 +41,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 MAX_WINDOW = 64
+# Bracket coefficients grow with lambda's digits, and so does the run time
+# of every job (README, "Common flags").
+MAX_LAMBDA_DIGITS = 300
 # Below 4 the window holds at most L[-1..1], an sl2 whose invariant tensors
 # are not center products: the interior checks would fail falsely, and h1
 # reports dimensions that are not the window-stable ones.
@@ -49,6 +52,9 @@ MIN_INTERIOR_WINDOW = 4
 
 class UsageError(ValueError):
     pass
+
+
+Report = tuple[bool, dict, str]  # a handler's verdict, JSON payload and text
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -68,6 +74,11 @@ def _validate(args: argparse.Namespace) -> None:
     if hasattr(args, "s"):
         s = _parse_rational(args.s)
         lam = _parse_rational(args.lam)
+        if max(abs(lam.numerator), lam.denominator) >= 10**MAX_LAMBDA_DIGITS:
+            raise UsageError(
+                f"lambda's numerator and denominator must have at most "
+                f"{MAX_LAMBDA_DIGITS} digits, to bound the run time"
+            )
         central = {"true": True, "false": False}[args.central]
         try:
             args.params = AlgebraParams(s, lam, central)
@@ -114,31 +125,22 @@ def _load_r(args: argparse.Namespace):
     return r
 
 
-def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
-    if args.json:
-        payload = {"schema": 1, "command": args.command, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
-
-
 def _params_dict(p: AlgebraParams) -> dict:
     return {"s": str(p.s), "lambda": str(p.lam), "central": p.central}
 
 
 # ---------------------------------------------------------------------------
-# Command handlers (return process exit codes)
+# Command handlers (return a Report, which main prints and maps to an exit code)
 # ---------------------------------------------------------------------------
 
-def _cmd_bracket(args: argparse.Namespace) -> int:
+def _cmd_bracket(args: argparse.Namespace) -> Report:
     x = parse_element(args.operands[0])
     y = parse_element(args.operands[1])
     out = bracket(x, y, args.params)
-    _emit(args, {"params": _params_dict(args.params), "result": str(out)}, str(out))
-    return EXIT_OK
+    return True, {"params": _params_dict(args.params), "result": str(out)}, str(out)
 
 
-def _cmd_jacobi(args: argparse.Namespace) -> int:
+def _cmd_jacobi(args: argparse.Namespace) -> Report:
     rep = check_jacobi(args.params, args.window)
     human = (
         f"Jacobi: {'pass' if rep.ok else 'FAIL'} "
@@ -147,91 +149,74 @@ def _cmd_jacobi(args: argparse.Namespace) -> int:
     if not rep.ok:
         gx, gy, gz, res = rep.failures[0]
         human += f"\nwitness: ({gx.label()}, {gy.label()}, {gz.label()}) -> {res}"
-    _emit(
-        args,
-        {
-            "params": _params_dict(args.params),
-            "window": [args.window.lo, args.window.hi],
-            "checked": rep.checked,
-            "violations": len(rep.failures),
-        },
-        human,
-    )
-    return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+    payload = {
+        "params": _params_dict(args.params),
+        "window": [args.window.lo, args.window.hi],
+        "checked": rep.checked,
+        "violations": len(rep.failures),
+    }
+    return rep.ok, payload, human
 
 
-def _cmd_center(args: argparse.Namespace) -> int:
+def _cmd_center(args: argparse.Namespace) -> Report:
     basis = center_in_window(args.params, args.window)
     human = "center basis: " + (", ".join(str(b) for b in basis) if basis else "(zero)")
-    _emit(
-        args,
-        {
-            "params": _params_dict(args.params),
-            "window": [args.window.lo, args.window.hi],
-            "basis": [str(b) for b in basis],
-        },
-        human,
-    )
-    return EXIT_OK
+    payload = {
+        "params": _params_dict(args.params),
+        "window": [args.window.lo, args.window.hi],
+        "basis": [str(b) for b in basis],
+    }
+    return True, payload, human
 
 
-def _cmd_cybe(args: argparse.Namespace) -> int:
+def _cmd_cybe(args: argparse.Namespace) -> Report:
     r = _load_r(args)
     obstruction = ybe_c(r, args.params)
     ok = not obstruction
     human = "CYBE: satisfied" if ok else f"CYBE: violated, c(r) = {obstruction}"
-    _emit(
-        args,
-        {"params": _params_dict(args.params), "satisfied": ok, "obstruction_terms": len(obstruction.terms)},
-        human,
-    )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    payload = {
+        "params": _params_dict(args.params),
+        "satisfied": ok,
+        "obstruction_terms": len(obstruction.terms),
+    }
+    return ok, payload, human
 
 
-def _cmd_mybe(args: argparse.Namespace) -> int:
+def _cmd_mybe(args: argparse.Namespace) -> Report:
     r = _load_r(args)
     ok = check_mybe(r, args.params, args.window)
     human = "MYBE: satisfied" if ok else "MYBE: violated"
-    _emit(
-        args,
-        {
-            "params": _params_dict(args.params),
-            "window": [args.window.lo, args.window.hi],
-            "satisfied": ok,
-        },
-        human,
-    )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    payload = {
+        "params": _params_dict(args.params),
+        "window": [args.window.lo, args.window.hi],
+        "satisfied": ok,
+    }
+    return ok, payload, human
 
 
-def _cmd_coboundary(args: argparse.Namespace) -> int:
+def _cmd_coboundary(args: argparse.Namespace) -> Report:
     r = _load_r(args)
     x = parse_element(args.operands[0])
     out = coboundary(r, x, args.params)
-    _emit(args, {"params": _params_dict(args.params), "result": str(out)}, str(out))
-    return EXIT_OK
+    return True, {"params": _params_dict(args.params), "result": str(out)}, str(out)
 
 
-def _cmd_cojacobi(args: argparse.Namespace) -> int:
+def _cmd_cojacobi(args: argparse.Namespace) -> Report:
     r = _load_r(args)
     bad = []
     for g in args.window.basis_indices(args.params):
         if not check_cojacobi_identity(r, Element.basis(g), args.params):
             bad.append(g.label())
     human = "co-Jacobi balance: holds" if not bad else f"co-Jacobi balance: broken at {bad}"
-    _emit(
-        args,
-        {
-            "params": _params_dict(args.params),
-            "window": [args.window.lo, args.window.hi],
-            "violations": bad,
-        },
-        human,
-    )
-    return EXIT_OK if not bad else EXIT_CHECK_FAILED
+    payload = {
+        "params": _params_dict(args.params),
+        "window": [args.window.lo, args.window.hi],
+        "violations": bad,
+    }
+    return not bad, payload, human
 
 
-def _cmd_check_derivation(args: argparse.Namespace) -> int:
+def _cmd_check_derivation(args: argparse.Namespace) -> Report:
     if not args.derivation:
         raise UsageError("check-derivation needs --derivation FILE")
     text = _read_input(args.derivation)
@@ -255,20 +240,16 @@ def _cmd_check_derivation(args: argparse.Namespace) -> int:
     if not rep.ok:
         g, h, lhs, rhs = rep.witness()
         human += f"\nwitness pair ({g.label()}, {h.label()}): D[g,h] = {lhs} but action gives {rhs}"
-    _emit(
-        args,
-        {
-            "params": _params_dict(args.params),
-            "checked": rep.checked,
-            "skipped": rep.skipped,
-            "violations": len(rep.violations),
-        },
-        human,
-    )
-    return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+    payload = {
+        "params": _params_dict(args.params),
+        "checked": rep.checked,
+        "skipped": rep.skipped,
+        "violations": len(rep.violations),
+    }
+    return rep.ok, payload, human
 
 
-def _cmd_h1(args: argparse.Namespace) -> int:
+def _cmd_h1(args: argparse.Namespace) -> Report:
     rep = solve_h1(args.params, args.target, args.degree, args.window)
     human = (
         f"H1 {args.target} degree {args.degree}: dim_der={rep.dim_der} "
@@ -276,51 +257,41 @@ def _cmd_h1(args: argparse.Namespace) -> int:
         + (" (certified basis: " + ", ".join(rep.quotient_names) + ")" if rep.certified and rep.quotient_names else "")
         + (f"\nnote: {rep.note}" if rep.note else "")
     )
-    _emit(args, {"report": rep.as_dict()}, human)
-    return EXIT_OK
+    return True, {"report": rep.as_dict()}, human
 
 
-def _cmd_invariants(args: argparse.Namespace) -> int:
+def _cmd_invariants(args: argparse.Namespace) -> Report:
     rep = verify_invariants_are_central(args.params, args.order, args.window)
     human = (
         f"invariant tensors (order {args.order}): "
         f"{'match center products' if rep.ok else 'MISMATCH'} "
         f"(dim {rep.details['kernel_dim']})"
     )
-    _emit(args, {"report": rep.as_dict()}, human)
-    return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+    return rep.ok, {"report": rep.as_dict()}, human
 
 
-def _cmd_skew_lemma(args: argparse.Namespace) -> int:
+def _cmd_skew_lemma(args: argparse.Namespace) -> Report:
     rep = verify_skew_image_lemma(args.params, args.window)
     human = (
         "skew-image decomposition: holds"
         if rep.ok
         else f"skew-image decomposition: fails for {rep.details['failures']}"
     )
-    _emit(args, {"report": rep.as_dict()}, human)
-    return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+    return rep.ok, {"report": rep.as_dict()}, human
 
 
-def _cmd_verify_paper(args: argparse.Namespace) -> int:
+def _cmd_verify_paper(args: argparse.Namespace) -> Report:
     # imported here, its only user: no other command needs verify.py
     from .verify import run_verification
 
-    lines: list[str] = []
-    results = run_verification(
-        window=args.window.hi, log=lines.append if args.json else print
-    )
+    results = run_verification(window=args.window.hi, log=None if args.json else print)
     ok = all(r.ok for r in results)
     criteria = [
         {"number": r.number, "name": r.name, "ok": r.ok, "details": r.details}
         for r in results
     ]
-    _emit(
-        args,
-        {"window": args.window.hi, "criteria": criteria, "ok": ok},
-        "all criteria passed" if ok else "some criteria FAILED",
-    )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    payload = {"window": args.window.hi, "criteria": criteria, "ok": ok}
+    return ok, payload, "all criteria passed" if ok else "some criteria FAILED"
 
 
 _HANDLERS = {
@@ -441,10 +412,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(_join_negative_values(list(argv)))
     try:
         _validate(args)
-        return _HANDLERS[args.command](args)
+        ok, payload, human = _HANDLERS[args.command](args)
     except (UsageError, LiteralError, InvalidIndexError, CoefficientTooLongError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        payload = {"schema": 1, "command": args.command, **payload}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(human)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -329,14 +329,15 @@ def inner_vectors(system: LinearSystem) -> list[dict[int, int]]:
 
 
 def table_to_vector(system: LinearSystem, table: DerivationTable) -> dict[int, Fraction]:
-    """Coordinates of a table in the unknown space, truncated to the window."""
-    vec: dict[int, Fraction] = {}
-    for g, val in table.values.items():
-        for key, coeff in val.terms.items():
-            lab = system.index.get((g, key))
-            if lab is not None:
-                vec[lab] = vec.get(lab, Fraction(0)) + coeff
-    return {k: c for k, c in vec.items() if c}
+    """Coordinates of a table in the unknown space, truncated to the
+    window: each (g, key) of the table is its own label, so nothing sums."""
+    index = system.index
+    return {
+        index[g, key]: coeff
+        for g, val in table.values.items()
+        for key, coeff in val.terms.items()
+        if (g, key) in index
+    }
 
 
 class _CountedOnRead:
@@ -583,11 +584,10 @@ def solve_h1(
 
     names: list[str] = []
     tables: list[DerivationTable] = []
-    ech_q = ech_inn.copy()
     for table in candidates:
         vec = table_to_vector(sys_, table)
         row = int_row({k: c for k, c in vec.items() if k in interior})
-        if ech_q.insert(row) is not None:
+        if ech_inn.insert(row) is not None:
             names.append(table.name or f"candidate-{len(names) + 1}")
             tables.append(table)
     certified = dim_h1 == len(names)

@@ -23,6 +23,7 @@ from .algebra import (
     Window,
     bracket_table,
     center_in_window,
+    center_keys,
     rat,
 )
 from .tensors import Tensor2, diag_action, tensor_of
@@ -315,8 +316,9 @@ def catalog(
     With params=None, emit the unit basis family.  Otherwise params maps
     member names (algebra target) to rational coefficients, or keys
     '<member>_left'/'<member>_right' (tensor target) to central Elements
-    that fold the scalar and the center leg together.  Unknown keys, or
-    no key at all, raise CatalogCaseError, so requesting a constructor under the wrong
+    (supported on center_keys(p, w)) that fold the scalar and the center
+    leg together.  Unknown keys, no key at all, or a leg off the center
+    raise CatalogCaseError, so requesting a constructor under the wrong
     deformation parameter fails loudly.
     """
     if params is None:
@@ -340,8 +342,10 @@ def catalog(
             ).scaled(rat(value))
         else:
             name, side = key.rsplit("_", 1)
-            if not isinstance(value, Element):
-                raise CatalogCaseError(f"{key} takes a central Element leg")
+            center = center_keys(p, w)
+            if not (isinstance(value, Element) and all(z in center for z in value.terms)):
+                span = ", ".join(z.label() for z in center) or "no generator"
+                raise CatalogCaseError(f"{key} takes a central Element leg (center: {span})")
             base = _algebra_table(name, w, p)
             piece = DerivationTable(
                 TENSOR, Fraction(0), w, _tensorize(base, value, side), name=key

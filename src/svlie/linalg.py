@@ -22,18 +22,11 @@ from typing import Optional
 __all__ = ["RowEchelon", "int_row"]
 
 
-def int_row(row: dict) -> dict[int, int]:
-    """Clear denominators; accepts int or Fraction values."""
-    denom = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            denom = lcm(denom, v.denominator)
-    out = {}
-    for k, v in row.items():
-        iv = int(v * denom) if denom != 1 or isinstance(v, Fraction) else v
-        if iv:
-            out[k] = iv
-    return out
+def int_row(row: dict) -> dict:
+    """row times d, d the lcm of its denominators, zeros dropped; the
+    values may be ints, Fractions or both."""
+    d = lcm(1, *(c.denominator for c in row.values()))
+    return {k: c.numerator * (d // c.denominator) for k, c in row.items() if c}
 
 
 class RowEchelon:

@@ -24,6 +24,7 @@ from .algebra import (
     format_term,
     generating_set,
 )
+from .linalg import int_row
 
 __all__ = [
     "Tensor2",
@@ -93,28 +94,22 @@ def coboundary(r: Tensor2, x: Element, p: AlgebraParams) -> Tensor2:
     return diag_action(x, r, p)
 
 
-def _integer_terms(v: SparseVector) -> tuple[int, dict]:
-    """(d, v times d), where d is the lcm of the denominators of v, so
-    every coefficient of the scaled v is an int."""
-    d = lcm(1, *(c.denominator for c in v.terms.values()))
-    return d, {key: c.numerator * (d // c.denominator) for key, c in v.terms.items()}
-
-
 @lru_cache(maxsize=1)
 def _cobracket_memo(r: Tensor2, p: AlgebraParams) -> tuple[int, dict, dict, dict]:
-    """The integer data of the Yang-Baxter checks of one (r, p): R and r
-    times R (see _integer_terms), the obstruction ybe_c(r, p) times
-    p.scale * R**2 (zeros dropped), and a memo of the generator cobrackets
-    of r times p.scale * R.  Callers check one r over a run of generators,
-    so only the last pair is kept: each held pair keeps tens of kilobytes
-    alive.
+    """The integer data of the Yang-Baxter checks of one (r, p): R, the lcm
+    of the denominators of r, r times R (int_row), the obstruction
+    ybe_c(r, p) times p.scale * R**2 (zeros dropped), and a memo of the
+    generator cobrackets of r times p.scale * R.  Callers check one r over
+    a run of generators, so only the last pair is kept: each held pair
+    keeps tens of kilobytes alive.
 
     The obstruction is expanded termwise over pairs of terms of r; each
     summand carries one bracket and two pass-through slots, so it lives in
     the triple tensor product of the algebra itself.
     """
     table = bracket_table(p)
-    R, r_int = _integer_terms(r)
+    R = lcm(1, *(c.denominator for c in r.terms.values()))
+    r_int = int_row(r.terms)
     out: dict[Triple, int] = {}
     terms = list(r_int.items())
     for (a1, b1), c1 in terms:
@@ -180,7 +175,7 @@ def check_cojacobi_identity(r: Tensor2, x: Element, p: AlgebraParams) -> bool:
             t = memo[g] = table.act(g, r_int)
         return t
 
-    _, x_int = _integer_terms(x)
+    x_int = int_row(x.terms)
     first: dict = {}
     for g, c in x_int.items():
         for key, cu in cobracket(g).items():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -197,6 +198,27 @@ class TestCheckCommands:
             capsys, "jacobi", "--s", "0", "--lambda", "1", "--window", "200"
         )
         assert code == 2 and "window" in err
+
+    @pytest.mark.parametrize(
+        "lam", [f"7/{10**300 + 7}", f"-{10**300}/7"], ids=["denominator", "numerator"]
+    )
+    def test_lambda_digit_bound(self, capsys, lam):
+        # a 301-digit lambda is refused before any bracket is computed
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "jacobi", "--s", "0", "--lambda", lam, "--window", "64")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: lambda's numerator and denominator must have at most 300 "
+            "digits, to bound the run time\n"
+        )
+
+    @pytest.mark.parametrize(
+        "lam", [f"7/{10**299 + 7}", f"-{10**300 - 1}/7"], ids=["denominator", "numerator"]
+    )
+    def test_lambda_at_the_digit_bound(self, capsys, lam):
+        code, out, _ = run_cli(capsys, "center", "--s", "0", "--lambda", lam, "--json")
+        assert code == 0 and json.loads(out)["basis"] == ["c"]
 
     @pytest.mark.parametrize("command", ["invariants", "skew-lemma"])
     def test_interior_check_window_floor(self, capsys, command):
@@ -450,6 +472,132 @@ class TestH1Command:
         assert first.n_rows == rows
         assert first == second and second.as_dict()["rows"] == rows
         assert first == solve_h1(p, target, 1, w, system=assemble(p, solved, 1, w))
+
+
+FRAC_R = (
+    "1/2 * M[0] (x) L[1]\n-1/2 * L[1] (x) M[0]\n"
+    "2/3 * L[-1] (x) L[1]\n-2/3 * L[1] (x) L[-1]\n"
+)
+INPUT_FILES = {"witt.r": WITT_R, "neg.r": NEG_R, "sym.r": "1 * L[0] (x) L[1]\n", "frac.r": FRAC_R}
+
+
+def on(s, lam, central=True, window=None):
+    """The params (and window) entries of a payload."""
+    out = {"params": {"s": s, "lambda": lam, "central": central}}
+    return out if window is None else {**out, "window": [-window, window]}
+
+
+def check_report(check, s, lam, window, ok, details):
+    report = {"check": check, "s": s, "lambda": lam, "central": True,
+              "window": [-window, window], "ok": ok, "details": details}
+    return {"report": report}
+
+
+PAYLOADS = [
+    pytest.param(
+        ["jacobi", "--s", "1/2", "--lambda", "-2", "--window", "8"], 0,
+        {**on("1/2", "-2", window=8), "checked": 1313, "violations": 0}, id="jacobi",
+    ),
+    pytest.param(
+        ["center", "--s", "0", "--lambda", "0", "--window", "64"], 0,
+        {**on("0", "0", window=64), "basis": ["M[0]", "c"]}, id="center-64",
+    ),
+    pytest.param(
+        ["center", "--s", "1/2", "--lambda", "-5/3", "--central", "false", "--window", "8"], 0,
+        {**on("1/2", "-5/3", False, window=8), "basis": []}, id="center-zero",
+    ),
+    pytest.param(
+        ["cybe", "--s", "0", "--lambda", "5", "--r", "witt.r"], 0,
+        {**on("0", "5"), "satisfied": True, "obstruction_terms": 0}, id="cybe-pass",
+    ),
+    pytest.param(
+        ["cybe", "--s", "0", "--lambda", "5", "--r", "neg.r"], 1,
+        {**on("0", "5"), "satisfied": False, "obstruction_terms": 6}, id="cybe-fail",
+    ),
+    pytest.param(
+        ["cybe", "--s", "0", "--lambda", "-5/3", "--r", "frac.r"], 1,
+        {**on("0", "-5/3"), "satisfied": False, "obstruction_terms": 24}, id="cybe-fractions",
+    ),
+    pytest.param(
+        ["mybe", "--s", "0", "--lambda", "5", "--r", "witt.r", "--window", "6"], 0,
+        {**on("0", "5", window=6), "satisfied": True}, id="mybe-pass",
+    ),
+    pytest.param(
+        ["mybe", "--s", "0", "--lambda", "5", "--r", "neg.r", "--window", "6"], 1,
+        {**on("0", "5", window=6), "satisfied": False}, id="mybe-fail",
+    ),
+    pytest.param(
+        ["coboundary", "--s", "1/2", "--lambda", "-1", "--r", "witt.r", "L[2]"], 0,
+        {**on("1/2", "-1"), "result": (
+            "-1 * L[0] (x) L[3] + 2 * L[1] (x) L[2] - 2 * L[2] (x) L[1] + 1 * L[3] (x) L[0]"
+        )}, id="coboundary",
+    ),
+    pytest.param(
+        ["coboundary", "--s", "0", "--lambda", "-5/3", "--r", "frac.r", "2/3*Y[1] - M[1]"], 0,
+        {**on("0", "-5/3"), "result": (
+            "16/9 * L[-1] (x) M[2] - 16/27 * L[-1] (x) Y[2] + 4/9 * L[1] (x) M[0]"
+            " + 8/27 * L[1] (x) Y[0] - 4/9 * M[0] (x) L[1] + 4/3 * M[0] (x) M[2]"
+            " - 4/9 * M[0] (x) Y[2] - 16/9 * M[2] (x) L[-1] - 4/3 * M[2] (x) M[0]"
+            " - 8/27 * Y[0] (x) L[1] + 16/27 * Y[2] (x) L[-1] + 4/9 * Y[2] (x) M[0]"
+        )}, id="coboundary-fractions",
+    ),
+    pytest.param(
+        ["cojacobi", "--s", "0", "--lambda", "5", "--r", "witt.r", "--window", "6"], 0,
+        {**on("0", "5", window=6), "violations": []}, id="cojacobi-pass",
+    ),
+    pytest.param(
+        ["cojacobi", "--s", "0", "--lambda", "-5/3", "--r", "frac.r", "--window", "4"], 0,
+        {**on("0", "-5/3", window=4), "violations": []}, id="cojacobi-fractions",
+    ),
+    pytest.param(
+        ["cojacobi", "--s", "0", "--lambda", "5", "--r", "sym.r", "--window", "4"], 1,
+        {**on("0", "5", window=4), "violations": [
+            f"{kind}[{n}]" for kind in "LMY" for n in range(-2, 3)
+        ]}, id="cojacobi-non-skew",
+    ),
+    pytest.param(
+        ["check-derivation", "--s", "0", "--lambda", "-2", "--derivation", "table.json"], 0,
+        {**on("0", "-2"), "checked": 477, "skipped": 84, "violations": 0},
+        id="check-derivation-pass",
+    ),
+    pytest.param(
+        ["check-derivation", "--s", "0", "--lambda", "-1", "--derivation", "table.json"], 1,
+        {**on("0", "-1"), "checked": 477, "skipped": 84, "violations": 28},
+        id="check-derivation-fail",
+    ),
+    pytest.param(
+        ["invariants", "--s", "0", "--lambda", "1", "--window", "4", "--order", "1"], 0,
+        check_report("invariants-are-central", "0", "1", 4, True, {
+            "order": 1, "kernel_dim": 1, "center_product_dim": 1, "kernel_basis": ["c"],
+        }), id="invariants-1",
+    ),
+    pytest.param(
+        ["invariants", "--s", "0", "--lambda", "1", "--window", "4", "--order", "2"], 0,
+        check_report("invariants-are-central", "0", "1", 4, True, {
+            "order": 2, "kernel_dim": 1, "center_product_dim": 1,
+            "kernel_basis": ["1 * c (x) c"],
+        }), id="invariants-2",
+    ),
+    pytest.param(
+        ["skew-lemma", "--s", "0", "--lambda", "1", "--window", "4"], 0,
+        check_report("skew-image", "0", "1", 4, True, {"failures": [], "space_dim": 121}),
+        id="skew-lemma",
+    ),
+]
+
+
+class TestJsonPayloads:
+    @pytest.mark.parametrize("argv,code,payload", PAYLOADS)
+    def test_payload_and_exit_code(self, capsys, tmp_path, argv, code, payload):
+        for name, text in INPUT_FILES.items():
+            (tmp_path / name).write_text(text)
+        own = AlgebraParams(0, -2)
+        (table,) = catalog(own, "algebra", Window.symmetric(10), params={"l_to_m_n3": 1})
+        (tmp_path / "table.json").write_text(table_to_json(table))
+        argv = [str(tmp_path / a) if a in INPUT_FILES or a == "table.json" else a for a in argv]
+        got, out, _ = run_cli(capsys, *argv, "--json")
+        assert got == code
+        assert json.loads(out) == {"schema": 1, "command": argv[0], **payload}
 
 
 class TestDeterminism:

@@ -23,7 +23,7 @@ from svlie import (
     is_derivation,
     parse_element,
 )
-from svlie.algebra import C, bracket_table, center_in_window
+from svlie.algebra import C, bracket_table, center_in_window, center_keys
 from svlie.derivations import (
     CatalogCaseError,
     case_label,
@@ -230,14 +230,15 @@ class TestCatalogReference:
 
     @pytest.mark.parametrize("central", [True, False], ids=["central", "centerless"])
     def test_catalog_params_match_reference(self, central):
-        leg = parse_element("3/2*M[0] - 2*c")
         for (s2, lam), members in REF_ROWS.items():
             lam = Fraction(7) if lam == "generic" else lam
             p = AlgebraParams(Fraction(s2, 2), lam, central)
             names = [m.name for m in reference_members(p)]
             scalars = {n: Fraction(-3, 2) * (i + 1) for i, n in enumerate(names)}
-            legs = {f"{n}_{side}": leg for n in names for side in ("left", "right")}
             for w in (Window.symmetric(8), Window(0, 9)):
+                # a central leg with distinct coefficients on each center key
+                leg = Element({z: Fraction(k + 1, 2) for k, z in enumerate(center_keys(p, w))})
+                legs = {f"{n}_{side}": leg for n in names for side in ("left", "right")}
                 for target, params in (("algebra", scalars), ("tensor-square", legs)):
                     (got,) = catalog(p, target, w, params=params)
                     want = reference_catalog(p, target, w, params)
@@ -362,6 +363,23 @@ class TestCatalog:
     def test_case_error_for_empty_params(self, target):
         with pytest.raises(CatalogCaseError, match="names no constructor"):
             catalog(AlgebraParams(0, 0), target, W12, params={})
+
+    @pytest.mark.parametrize(
+        "p,leg",
+        [
+            # L[1] is no center element; its table fails is_derivation
+            (AlgebraParams(0, 0), "L[1]"),
+            # M[0] is central only at lambda = 0
+            (AlgebraParams(HALF, -1), "M[0] + c"),
+            # a centerless row has no generator c
+            (AlgebraParams(0, 0, False), "c"),
+            (AlgebraParams(0, 5, False), "M[0]"),
+        ],
+        ids=["non-central", "M0-off-lambda-0", "c-centerless", "M0-centerless"],
+    )
+    def test_case_error_for_a_leg_off_the_center(self, p, leg):
+        with pytest.raises(CatalogCaseError, match="ideal_scale_left takes a central"):
+            catalog(p, "tensor-square", Window.symmetric(8), params={"ideal_scale_left": parse_element(leg)})
 
     def test_minus_three_family(self):
         p = AlgebraParams(0, -3)

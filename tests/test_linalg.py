@@ -65,8 +65,16 @@ class TestRowEchelon:
         assert ech.rank + len(ech.kernel_basis(12)) == 12
 
     def test_fraction_rows_cleared(self):
-        row = int_row({0: Fraction(1, 2), 1: Fraction(1, 3)})
-        assert row == {0: 3, 1: 2}
+        cases = [
+            ({0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}),
+            ({0: 3, 1: 0, 2: -4}, {0: 3, 2: -4}),
+            ({0: 2, 1: Fraction(1, 3), 2: Fraction(-5, 6)}, {0: 12, 1: 2, 2: -5}),
+            ({0: Fraction(-1, 2), 1: Fraction(-3, 4), 2: Fraction(0)}, {0: -2, 1: -3}),
+            ({0: 0, 1: Fraction(0)}, {}),
+        ]
+        for row, want in cases:
+            got = int_row(row)
+            assert got == want and all(type(v) is int for v in got.values()), row
 
     def test_determinism(self):
         rng = random.Random(99)
