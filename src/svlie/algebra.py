@@ -178,6 +178,10 @@ class AlgebraParams:
     def __hash__(self) -> int:
         return self._hash
 
+    def as_dict(self) -> dict:
+        """The parameters as every JSON report writes them."""
+        return {"s": str(self.s), "lambda": str(self.lam), "central": self.central}
+
     def describe(self) -> str:
         c = "central" if self.central else "centerless"
         return f"s={self.s}, lambda={self.lam}, {c}"
@@ -431,7 +435,7 @@ class BracketTable(dict):
         """Coordinates of g . vec times p.scale, zeros dropped.
 
         vec maps keys to coefficients: a generator key is bracketed, a
-        tuple key of any length takes the Leibniz action slot by slot,
+        pair or triple key takes the Leibniz action slot by slot,
         g . (a (x) b) = [g, a] (x) b + a (x) [g, b].
         """
         out: dict = {}
@@ -449,20 +453,13 @@ class BracketTable(dict):
                 for e, k in self[g, b]:
                     out[a, e] = out.get((a, e), 0) + c * k
                 continue
-            if len(key) == 3:
-                a, b, d = key
-                for e, k in self[g, a]:
-                    out[e, b, d] = out.get((e, b, d), 0) + c * k
-                for e, k in self[g, b]:
-                    out[a, e, d] = out.get((a, e, d), 0) + c * k
-                for e, k in self[g, d]:
-                    out[a, b, e] = out.get((a, b, e), 0) + c * k
-                continue
-            for slot, x in enumerate(key):
-                head, tail = key[:slot], key[slot + 1:]
-                for e, k in self[g, x]:
-                    res = head + (e,) + tail
-                    out[res] = out.get(res, 0) + c * k
+            a, b, d = key
+            for e, k in self[g, a]:
+                out[e, b, d] = out.get((e, b, d), 0) + c * k
+            for e, k in self[g, b]:
+                out[a, e, d] = out.get((a, e, d), 0) + c * k
+            for e, k in self[g, d]:
+                out[a, b, e] = out.get((a, b, e), 0) + c * k
         return {key: c for key, c in out.items() if c}
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .algebra import (
+    C,
     AlgebraParams,
     CoefficientTooLongError,
     Element,
@@ -116,17 +117,29 @@ def _read_input(path: str) -> str:
         raise UsageError(f"cannot decode {path!r}: {exc}") from None
 
 
+def _refuse_c(p: AlgebraParams, source: str, vec) -> None:
+    """The library reads c as central whatever p says, so on the centerless
+    algebra a literal that names c is refused here."""
+    if not p.central and any(
+        C in (key if type(key) is tuple else (key,)) for key in vec.terms
+    ):
+        raise UsageError(f"{source} names c, which the centerless algebra (--central false) lacks")
+
+
+def _element(args: argparse.Namespace, text: str) -> Element:
+    x = parse_element(text)
+    _refuse_c(args.params, f"element {text!r}", x)
+    return x
+
+
 def _load_r(args: argparse.Namespace):
     if not args.r:
         raise UsageError("this command needs an r-matrix file (--r FILE)")
     r = parse_tensor2(_read_input(args.r))
+    _refuse_c(args.params, f"r-matrix file {args.r!r}", r)
     if not skew_part_membership(r):
         print("warning: r is not skew (not in the image of 1 - twist)", file=sys.stderr)
     return r
-
-
-def _params_dict(p: AlgebraParams) -> dict:
-    return {"s": str(p.s), "lambda": str(p.lam), "central": p.central}
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +147,9 @@ def _params_dict(p: AlgebraParams) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_bracket(args: argparse.Namespace) -> Report:
-    x = parse_element(args.operands[0])
-    y = parse_element(args.operands[1])
+    x, y = (_element(args, text) for text in args.operands)
     out = bracket(x, y, args.params)
-    return True, {"params": _params_dict(args.params), "result": str(out)}, str(out)
+    return True, {"params": args.params.as_dict(), "result": str(out)}, str(out)
 
 
 def _cmd_jacobi(args: argparse.Namespace) -> Report:
@@ -150,7 +162,7 @@ def _cmd_jacobi(args: argparse.Namespace) -> Report:
         gx, gy, gz, res = rep.failures[0]
         human += f"\nwitness: ({gx.label()}, {gy.label()}, {gz.label()}) -> {res}"
     payload = {
-        "params": _params_dict(args.params),
+        "params": args.params.as_dict(),
         "window": [args.window.lo, args.window.hi],
         "checked": rep.checked,
         "violations": len(rep.failures),
@@ -162,7 +174,7 @@ def _cmd_center(args: argparse.Namespace) -> Report:
     basis = center_in_window(args.params, args.window)
     human = "center basis: " + (", ".join(str(b) for b in basis) if basis else "(zero)")
     payload = {
-        "params": _params_dict(args.params),
+        "params": args.params.as_dict(),
         "window": [args.window.lo, args.window.hi],
         "basis": [str(b) for b in basis],
     }
@@ -175,7 +187,7 @@ def _cmd_cybe(args: argparse.Namespace) -> Report:
     ok = not obstruction
     human = "CYBE: satisfied" if ok else f"CYBE: violated, c(r) = {obstruction}"
     payload = {
-        "params": _params_dict(args.params),
+        "params": args.params.as_dict(),
         "satisfied": ok,
         "obstruction_terms": len(obstruction.terms),
     }
@@ -187,7 +199,7 @@ def _cmd_mybe(args: argparse.Namespace) -> Report:
     ok = check_mybe(r, args.params, args.window)
     human = "MYBE: satisfied" if ok else "MYBE: violated"
     payload = {
-        "params": _params_dict(args.params),
+        "params": args.params.as_dict(),
         "window": [args.window.lo, args.window.hi],
         "satisfied": ok,
     }
@@ -196,9 +208,9 @@ def _cmd_mybe(args: argparse.Namespace) -> Report:
 
 def _cmd_coboundary(args: argparse.Namespace) -> Report:
     r = _load_r(args)
-    x = parse_element(args.operands[0])
+    x = _element(args, args.operands[0])
     out = coboundary(r, x, args.params)
-    return True, {"params": _params_dict(args.params), "result": str(out)}, str(out)
+    return True, {"params": args.params.as_dict(), "result": str(out)}, str(out)
 
 
 def _cmd_cojacobi(args: argparse.Namespace) -> Report:
@@ -209,7 +221,7 @@ def _cmd_cojacobi(args: argparse.Namespace) -> Report:
             bad.append(g.label())
     human = "co-Jacobi balance: holds" if not bad else f"co-Jacobi balance: broken at {bad}"
     payload = {
-        "params": _params_dict(args.params),
+        "params": args.params.as_dict(),
         "window": [args.window.lo, args.window.hi],
         "violations": bad,
     }
@@ -232,6 +244,15 @@ def _cmd_check_derivation(args: argparse.Namespace) -> Report:
         raise UsageError(
             f"derivation table window [{lo}, {hi}] must lie in [-{MAX_WINDOW}, {MAX_WINDOW}]"
         )
+    # is_derivation reads only the entries of window generators
+    gens = set(table.window.basis_indices(args.params))
+    for g, value in table.values.items():
+        if g not in gens:
+            raise UsageError(
+                f"derivation table {args.derivation!r} has an entry for {g.label()}, "
+                f"not a generator of the algebra on window [{lo}, {hi}]"
+            )
+        _refuse_c(args.params, f"derivation table {args.derivation!r} at {g.label()}", value)
     rep = is_derivation(table, args.params)
     human = (
         f"derivation check: {'pass' if rep.ok else 'FAIL'} "
@@ -241,7 +262,7 @@ def _cmd_check_derivation(args: argparse.Namespace) -> Report:
         g, h, lhs, rhs = rep.witness()
         human += f"\nwitness pair ({g.label()}, {h.label()}): D[g,h] = {lhs} but action gives {rhs}"
     payload = {
-        "params": _params_dict(args.params),
+        "params": args.params.as_dict(),
         "checked": rep.checked,
         "skipped": rep.skipped,
         "violations": len(rep.violations),
@@ -376,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-paper", help="run the full verification suite")
     sp.add_argument("--window", type=int, default=16, metavar="N",
-                    help="window of criteria 6 and 9 only, capped at 16 (default "
-                    "16); the other criteria run on pinned windows")
+                    help="window of criteria 6 and 9 only (default 16); the "
+                    "other criteria run on pinned windows")
     sp.add_argument("--json", action="store_true")
 
     return parser

@@ -10,7 +10,7 @@ tables to the interior half-window before dimensions are read off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -363,11 +363,13 @@ class _CountedOnRead:
 class CohomologyReport:
     """Exact dimensions after interior restriction, with certificates.
 
-    n_rows counts the rows of the full system, twin rows included.  When
-    solve_h1 decided a nonzero degree without assembling that system, it
-    passes a function that assembles and counts it, called when n_rows is
-    first read (so also by as_dict, ==, repr and dataclasses.replace); the
-    value is the same either way.
+    quotient_tables are the named constructors independent modulo the
+    inner space; quotient_names, certified, note and method are read off
+    them and the other fields.  n_rows counts the rows of the full system,
+    twin rows included.  When solve_h1 decided a nonzero degree without
+    assembling that system, it passes a function that assembles and counts
+    it, called when n_rows is first read (so also by as_dict, ==, repr and
+    dataclasses.replace); the value is the same either way.
     """
 
     params: AlgebraParams
@@ -378,11 +380,7 @@ class CohomologyReport:
     dim_inn: int
     n_unknowns: int
     n_rows: int = _CountedOnRead()
-    quotient_names: list[str] = field(default_factory=list)
-    certified: bool = False
-    method: str = "full-window"
-    quotient_tables: list[DerivationTable] = field(default_factory=list)
-    note: str = ""
+    quotient_tables: list[DerivationTable]
 
     @property
     def interior(self) -> Window:
@@ -392,11 +390,29 @@ class CohomologyReport:
     def dim_h1(self) -> int:
         return self.dim_der - self.dim_inn
 
+    @property
+    def quotient_names(self) -> list[str]:
+        return [t.name for t in self.quotient_tables]
+
+    @property
+    def certified(self) -> bool:
+        """The certificates span the quotient exactly."""
+        return self.dim_h1 == len(self.quotient_tables)
+
+    @property
+    def note(self) -> str:
+        n = len(self.quotient_tables)
+        return "" if self.certified else (
+            f"the named constructors span {n} of {self.dim_h1} classes"
+        )
+
+    @property
+    def method(self) -> str:
+        return "center-reduced" if self.target == TENSOR else "full-window"
+
     def as_dict(self) -> dict:
         return {
-            "s": str(self.params.s),
-            "lambda": str(self.params.lam),
-            "central": self.params.central,
+            **self.params.as_dict(),
             "target": self.target,
             "degree": str(self.alpha),
             "window": [self.window.lo, self.window.hi],
@@ -509,18 +525,15 @@ def solve_h1(
     target: str,
     alpha: Union[Fraction, int, str],
     w: Window,
-    candidates: Optional[Sequence[DerivationTable]] = None,
-    system: Optional[LinearSystem] = None,
 ) -> CohomologyReport:
     """Derivation space, inner subspace and their quotient on a window.
 
     Dimensions are reported after restricting solutions (and inner tables)
-    to the interior half-window.  candidates are a basis of the expected
-    quotient: by default the case row's named constructors at degree 0
-    and the empty family at any other degree.  The report is marked
-    certified when the independent candidates span the quotient exactly;
-    otherwise note says how far they fall short.  A system passed in must
-    have been assembled for these params, degree, window and target.
+    to the interior half-window.  The certificates are the case row's
+    named constructors (catalog_basis) at degree 0 and none at any other
+    degree: each is kept when it is independent of the inner space and
+    the constructors kept before it, and the report is certified when the
+    kept ones span the quotient exactly.
 
     Tensor-square degree slices are infinite in each degree, so a raw
     window kernel also contains shadows of derivations into the completed
@@ -533,35 +546,23 @@ def solve_h1(
     Every row is inserted as assembled, in assembly order: the echelon's
     stored rows do not depend on either.
 
-    A nonzero degree alpha, with no system passed, is first decided from
-    the rows of the pairs (L[0], h) alone (README, "Nonzero degrees").
-    Such a row says alpha D(h) = h . D(L[0]) wherever it is emitted, so D
-    is the inner derivation g -> g . D(L[0])/alpha on every label an L[0]
-    row reaches, and the short path nearly always decides.  It is exact:
-    truncated inner vectors satisfy every emitted row, so Inn <= K, the
-    kernel of all rows; the L[0] rows are some of the rows, so K <= K0,
-    their kernel.  On the interior dim_inn <= dim_der <= dim0, dim0 being
-    K0's dimension there, so dim0 == dim_inn gives dim_der = dim_inn.
+    A nonzero degree alpha is first decided from the rows of the pairs
+    (L[0], h) alone (README, "Nonzero degrees").  Such a row says
+    alpha D(h) = h . D(L[0]) wherever it is emitted, so D is the inner
+    derivation g -> g . D(L[0])/alpha on every label an L[0] row reaches,
+    and the short path nearly always decides.  It is exact: truncated
+    inner vectors satisfy every emitted row, so Inn <= K, the kernel of
+    all rows; the L[0] rows are some of the rows, so K <= K0, their
+    kernel.  On the interior dim_inn <= dim_der <= dim0, dim0 being K0's
+    dimension there, so dim0 == dim_inn gives dim_der = dim_inn.
     Otherwise the full system is assembled and solved.  When the short
     path decides, n_rows assembles the full system to count its rows only
     when first read.
     """
     solve_target = CENTER_TENSOR if target == TENSOR else target
-    method = "center-reduced" if target == TENSOR else "full-window"
     alpha = rat(alpha)
-    if system is not None:
-        for name, got, want in (
-            ("target", system.target, solve_target),
-            ("params", system.params, p),
-            ("alpha", system.alpha, alpha),
-            ("window", system.window, w),
-        ):
-            if got != want:
-                raise ValueError(f"system {name} {got!r} does not match {want!r}")
-    short = system is None and alpha != 0
-    sys_ = system if system is not None else assemble(
-        p, solve_target, alpha, w, _actors=[L(0)] if short else None
-    )
+    short = alpha != 0
+    sys_ = assemble(p, solve_target, alpha, w, _actors=[L(0)] if short else None)
     interior = frozenset(sys_.interior_ids())
     dim_der = _interior_nullity(sys_, interior)
 
@@ -574,31 +575,19 @@ def solve_h1(
         sys_ = assemble(p, solve_target, alpha, w)
         dim_der = _interior_nullity(sys_, interior)
         short = False
-    dim_h1 = dim_der - dim_inn
 
-    if candidates is None:
-        # nonzero degrees carry no outer classes; certify against the
-        # empty family
-        base = ALGEBRA if target == ALGEBRA else TENSOR
-        candidates = catalog_basis(p, base, w) if sys_.alpha == 0 else []
-
-    names: list[str] = []
-    tables: list[DerivationTable] = []
-    for table in candidates:
-        vec = table_to_vector(sys_, table)
-        row = int_row({k: c for k, c in vec.items() if k in interior})
+    # nonzero degrees carry no outer classes: nothing to certify
+    base = ALGEBRA if target == ALGEBRA else TENSOR
+    tables = []
+    for table in catalog_basis(p, base, w) if alpha == 0 else []:
+        row = int_row({k: c for k, c in table_to_vector(sys_, table).items() if k in interior})
         if ech_inn.insert(row) is not None:
-            names.append(table.name or f"candidate-{len(names) + 1}")
             tables.append(table)
-    certified = dim_h1 == len(names)
-    note = "" if certified else (
-        f"the named constructors span {len(names)} of {dim_h1} classes"
-    )
 
     return CohomologyReport(
         params=p,
         target=target,
-        alpha=sys_.alpha,
+        alpha=alpha,
         window=w,
         dim_der=dim_der,
         dim_inn=dim_inn,
@@ -607,11 +596,7 @@ def solve_h1(
             (lambda: _row_count(assemble(p, solve_target, alpha, w)))
             if short else _row_count(sys_)
         ),
-        quotient_names=names,
-        certified=certified,
-        method=method,
         quotient_tables=tables,
-        note=note,
     )
 
 
@@ -630,9 +615,7 @@ class CheckReport:
     def as_dict(self) -> dict:
         return {
             "check": self.name,
-            "s": str(self.params.s),
-            "lambda": str(self.params.lam),
-            "central": self.params.central,
+            **self.params.as_dict(),
             "window": [self.window.lo, self.window.hi],
             "ok": self.ok,
             "details": self.details,
@@ -775,9 +758,7 @@ class RegressionRow:
 
     def as_dict(self) -> dict:
         return {
-            "s": str(self.params.s),
-            "lambda": str(self.params.lam),
-            "central": self.params.central,
+            **self.params.as_dict(),
             "expected_dim": self.expected,
             "independent_dim": self.independent,
             "dependent": list(self.dependent),

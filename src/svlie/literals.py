@@ -161,13 +161,13 @@ def _diagnose(text: str, pos: int, line: int, tensor: bool) -> NoReturn:
     raise AssertionError(f"term at column {pos + 1} of {text!r} fits but did not match")
 
 
-def parse_element(text: str, line: int = 1) -> Element:
+def parse_element(text: str) -> Element:
     """Parse an element literal; canonical print/parse round-trips."""
     if not text.strip(" \t"):
-        raise LiteralError(ParseDiagnostic(line, len(text) + 1, "empty element literal", "<end>"))
+        raise LiteralError(ParseDiagnostic(1, len(text) + 1, "empty element literal", "<end>"))
     if text.strip() == "0":
         return Element.zero()
-    return Element(_terms(text, line, False, {}))
+    return Element(_terms(text, 1, False, {}))
 
 
 def parse_tensor2(source: Union[str, Iterable[str]]) -> Tensor2:

@@ -375,10 +375,10 @@ def run_verification(window: int = 16, log: Optional[Callable[[str], None]] = pr
         criterion_cybe_cojacobi,
         lambda: criterion_derivation_catalog(16),
         criterion_h1_algebra,
-        lambda: criterion_nonzero_degrees(min(window, 16)),
+        lambda: criterion_nonzero_degrees(window),
         criterion_proposition_table,
         criterion_invariants_and_skew,
-        lambda: criterion_center_tensor(min(window, 16)),
+        lambda: criterion_center_tensor(window),
         criterion_round_trip,
     ]
     results = []

@@ -9,6 +9,7 @@ import pytest
 
 from svlie import AlgebraParams, Window, assemble, catalog, solve_h1
 from svlie.cli import main
+from svlie.cohomology import _interior_nullity
 from svlie.derivations import table_to_json
 
 WITT_R = "1 * L[0] (x) L[1]\n-1 * L[1] (x) L[0]\n"
@@ -17,6 +18,15 @@ NEG_R = "1 * L[-1] (x) L[2]\n-1 * L[2] (x) L[-1]\n"
 GEN_TABLE = (
     '{"target": "algebra", "degree": "0", "window": [-4, 4], "values": '
     '[{"gen": "L[0]", "value": "0"}, {"gen": "%s", "value": "0"}]}'
+)
+
+
+# the criterion functions of svlie.verify, in run_verification's order
+CRITERIA = (
+    "criterion_bracket_table", "criterion_jacobi", "criterion_cybe_cojacobi",
+    "criterion_derivation_catalog", "criterion_h1_algebra", "criterion_nonzero_degrees",
+    "criterion_proposition_table", "criterion_invariants_and_skew",
+    "criterion_center_tensor", "criterion_round_trip",
 )
 
 
@@ -257,6 +267,27 @@ class TestCheckCommands:
                 f"needs at least L[-2..2], got {bound}\n"
             )
 
+    def test_verify_paper_window_reaches_criteria_6_and_9(self, capsys, monkeypatch):
+        """--window N is the window of criteria 6 and 9, past 16 too, and the
+        JSON window is that N; the other criteria keep their pinned windows."""
+        from svlie import verify
+
+        seen = []
+        for number, name in enumerate(CRITERIA, 1):
+            def record(*args, number=number, name=name):
+                seen.append((number, args))
+                return verify.CriterionResult(number, name, True)
+
+            monkeypatch.setattr(verify, name, record)
+        for bound in (16, 32):
+            seen.clear()
+            code, out, _ = run_cli(capsys, "verify-paper", "--window", str(bound), "--json")
+            assert code == 0 and json.loads(out)["window"] == bound
+            assert seen == [
+                (1, ()), (2, ()), (3, ()), (4, (16,)), (5, ()),
+                (6, (bound,)), (7, ()), (8, ()), (9, (bound,)), (10, ()),
+            ]
+
     def test_coboundary(self, capsys, tmp_path):
         path = tmp_path / "witt.r"
         path.write_text(WITT_R)
@@ -367,6 +398,70 @@ class TestDerivationCommand:
         )
 
 
+C_R = "1 * c (x) L[1]\n-1 * L[1] (x) c\n"
+# a window-[-8, 8] table with the given entries, gen and value literals
+TABLE_8 = '{"target": "algebra", "degree": "0", "window": [-8, 8], "values": [%s]}'
+
+
+def table_8(*entries):
+    return TABLE_8 % ", ".join(f'{{"gen": "{g}", "value": "{v}"}}' for g, v in entries)
+
+
+class TestGeneratorsOfTheAlgebra:
+    """The library reads c as central on the centerless algebra too, and
+    is_derivation reads only the entries of window generators, so the CLI
+    refuses a generator the algebra does not have: exit 2, one error line
+    naming it, nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv,source",
+        [
+            (["bracket", "L[1]+c", "L[-1]"], "element 'L[1]+c'"),
+            (["coboundary", "--r", "witt.r", "2*c"], "element '2*c'"),
+            (["coboundary", "--r", "c.r", "L[1]"], "r-matrix file 'c.r'"),
+            (["cybe", "--r", "c.r"], "r-matrix file 'c.r'"),
+            (["mybe", "--r", "c.r", "--window", "4"], "r-matrix file 'c.r'"),
+            (["cojacobi", "--r", "c.r", "--window", "4"], "r-matrix file 'c.r'"),
+            (["check-derivation", "--derivation", "c.json"], "derivation table 'c.json' at L[1]"),
+        ],
+        ids=["bracket", "coboundary-element", "coboundary-r", "cybe", "mybe", "cojacobi",
+             "check-derivation"],
+    )
+    def test_centerless_c_is_refused(self, capsys, tmp_path, monkeypatch, argv, source):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "witt.r").write_text(WITT_R)
+        (tmp_path / "c.r").write_text(C_R)
+        (tmp_path / "c.json").write_text(table_8(("L[1]", "c")))
+        code, out, err = run_cli(capsys, *argv, "--s", "0", "--lambda", "0", "--central", "false")
+        assert (code, out) == (2, "")
+        assert err == f"error: {source} names c, which the centerless algebra (--central false) lacks\n"
+        # the central algebra has c: the same input is read, not refused
+        code, out, _ = run_cli(capsys, *argv, "--s", "0", "--lambda", "0")
+        assert code in (0, 1) and out
+
+    @pytest.mark.parametrize(
+        "entries,gen,central",
+        [
+            ((("L[0]", "0"), ("Y[1/2]", "7*L[3]"), ("L[20]", "M[20]")), "Y[1/2]", "true"),
+            ((("L[20]", "M[20]"),), "L[20]", "true"),
+            ((("c", "M[0]"),), "c", "false"),
+        ],
+        ids=["wrong-parity", "off-window", "centerless-c"],
+    )
+    def test_table_entry_off_the_window_generators(self, capsys, tmp_path, entries, gen, central):
+        path = tmp_path / "table.json"
+        path.write_text(table_8(*entries))
+        code, out, err = run_cli(
+            capsys, "check-derivation", "--s", "0", "--lambda", "0", "--central", central,
+            "--derivation", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: derivation table {str(path)!r} has an entry for {gen}, "
+            "not a generator of the algebra on window [-8, 8]\n"
+        )
+
+
 class TestLiteralDigits:
     def test_superscript_digit_is_a_diagnostic(self, capsys):
         code, out, err = run_cli(
@@ -458,7 +553,8 @@ class TestH1Command:
     )
     def test_nonzero_degree_rows_at_window_64(self, capsys, target, solved, rows, unknowns, dim):
         """rows counts the full system although the L[0] rows decide the
-        degree, and the count is the same whether or not it is read first."""
+        degree, and the count is the same whether or not it is read first;
+        dim_der is the full system's interior nullity."""
         code, out, _ = run_cli(
             capsys, "h1", "--s", "0", "--lambda", "0", "--degree", "1",
             "--window", "64", "--target", target, "--json",
@@ -471,7 +567,8 @@ class TestH1Command:
         first, second = solve_h1(p, target, 1, w), solve_h1(p, target, 1, w)
         assert first.n_rows == rows
         assert first == second and second.as_dict()["rows"] == rows
-        assert first == solve_h1(p, target, 1, w, system=assemble(p, solved, 1, w))
+        system = assemble(p, solved, 1, w)
+        assert first.dim_der == _interior_nullity(system, frozenset(system.interior_ids()))
 
 
 FRAC_R = (

@@ -252,7 +252,7 @@ def test_l0_kills_the_degree_0_slice(s, central):
         table = bracket_table(p)
         for w in EXACT_WINDOWS:
             gens = w.basis_indices(p)
-            keys = [(a,) for a in w.indices_at(0, p)]
+            keys = list(w.indices_at(0, p))
             keys += [(a, b) for a in gens for b in w.indices_at(-a.dd, p)]
             for key in keys:
                 assert table.act(L(0), {key: 1}) == {}, (p, w, key)
